@@ -363,15 +363,14 @@ class MergeTree:
         return not self.children
 
     def vertices(self) -> Iterator["MergeTree"]:
-        yield self
-        for c in self.children:
-            yield from c.vertices()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> Iterator["MergeTree"]:
-        if self.is_leaf:
-            yield self
-        for c in self.children:
-            yield from c.leaves()
+        return (v for v in self.vertices() if v.is_leaf)
 
 
 @dataclass(frozen=True)
@@ -396,17 +395,15 @@ class ChiralMergeTree:
         return self.left is None
 
     def vertices(self) -> Iterator["ChiralMergeTree"]:
-        yield self
-        if not self.is_leaf:
-            yield from self.left.vertices()
-            yield from self.right.vertices()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack += (node.right, node.left)
 
     def leaves(self) -> Iterator["ChiralMergeTree"]:
-        if self.is_leaf:
-            yield self
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
+        return (v for v in self.vertices() if v.is_leaf)
 
 
 Tree = Union[MergeTree, ChiralMergeTree]

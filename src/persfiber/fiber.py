@@ -12,6 +12,7 @@ results are sorted by canonical form before return.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -85,14 +86,40 @@ def containing_set(b: Barcode, j: int) -> set[int]:
     }
 
 
+def _choice_counts(b: Barcode) -> list[int]:
+    """mu of every bar 1..N in one O(N log N) pass.
+
+    In canonical order (death descending, then birth ascending) the bars
+    containing bar j are the earlier bars born at or below it, counted by a
+    Fenwick tree over birth ranks, minus the earlier bars identical to it.
+    """
+    rank = {h: r for r, h in enumerate(sorted(set(b.births)), 1)}
+    fenwick = [0] * (len(rank) + 1)
+    identical: Counter = Counter()
+    counts = []
+    for bar in b.bars:
+        r = i = rank[bar.birth]
+        below = -identical[bar.birth, bar.death]
+        identical[bar.birth, bar.death] += 1
+        while i:
+            below += fenwick[i]
+            i &= i - 1
+        counts.append(below)
+        while r < len(fenwick):
+            fenwick[r] += 1
+            r += r & -r
+    return counts
+
+
 def mu(b: Barcode, j: int) -> int:
-    """Number of bars strictly containing bar j; the j-th choice count."""
-    return len(containing_set(b, j))
+    """Number of bars strictly containing bar j; the j-th choice count. O(N log N)."""
+    _check_index(b, j)
+    return _choice_counts(b)[j - 1]
 
 
 def count_merge_trees(b: Barcode) -> int:
-    """Product of the choice counts over all finite bars (1 for a lone bar)."""
-    return math.prod(mu(b, j) for j in range(2, b.N + 1))
+    """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N)."""
+    return math.prod(_choice_counts(b)[1:])
 
 
 def count_cmts(b: Barcode) -> int:

@@ -1,11 +1,11 @@
 """Merge trees of critical sequences and the elder rule on them.
 
 A sequence becomes a chiral merge tree by joining, for each maximum in
-ascending order, the subtrees immediately left and right of it. The elder
-rule walks any merge tree bottom-up: at each internal vertex the child
-subtree holding the larger minimum dies there, emitting a bar, and the
-smaller minimum survives upward. In-order traversal inverts the
-construction, which is what makes function reconstruction possible.
+ascending order, the subtrees left and right of it (the O(n log n) sweep of
+`persistence`). The elder rule walks any merge tree bottom-up: at each vertex
+the child subtree with the larger minimum dies, emitting a bar, and the
+smaller minimum survives. In-order traversal inverts the construction, which
+makes function reconstruction possible. Walks use explicit stacks, in O(n).
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .core import (
     validate_barcode,
     validate_critical_sequence,
 )
+from .persistence import _sweep
 
 
 class TooSmall(ValidationError):
@@ -47,21 +48,7 @@ class ElderDecomposition:
 
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
     """Join subtrees across each maximum of f, lowest maximum first."""
-    roots: list[tuple[ChiralMergeTree, int, int]] = []  # (subtree, lo, hi)
-    for pos, y in sorted(enumerate(f.values, 1), key=lambda pv: pv[1]):
-        if pos % 2 == 1:
-            at = 0
-            while at < len(roots) and roots[at][1] < pos:
-                at += 1
-            roots.insert(at, (ChiralMergeTree(y), pos, pos))
-        else:
-            j = 0
-            while roots[j][2] != pos - 1:
-                j += 1
-            (left, lo, _), (right, _, hi) = roots[j], roots[j + 1]
-            roots[j] = (ChiralMergeTree(y, left, right), lo, hi)
-            del roots[j + 1]
-    return roots[0][0]
+    return _sweep(f, lambda y, _: ChiralMergeTree(y), ChiralMergeTree)
 
 
 def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:
@@ -75,18 +62,17 @@ def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:
         raise KindMismatch(f"elder_rule takes an unordered MergeTree, got {type(t).__name__}")
     raw: list[tuple[Height, Height]] = []
     survivor: dict[Height, Height] = {}
-
-    def walk(node: MergeTree) -> Height:
+    minima: list[Height] = []  # smallest leaf of each finished subtree
+    # Reversed pre-order reaches every vertex after all of its descendants.
+    for node in reversed(list(t.vertices())):
         if node.is_leaf:
-            return node.height
-        a, b = (walk(c) for c in node.children)
-        elder, younger = (a, b) if a < b else (b, a)
+            minima.append(node.height)
+            continue
+        elder, younger = sorted((minima.pop(), minima.pop()))
         raw.append((younger, node.height))
         survivor[node.height] = elder
-        return elder
-
-    global_min = walk(t)
-    raw.append((global_min, math.inf))
+        minima.append(elder)
+    raw.append((minima.pop(), math.inf))
     barcode = validate_barcode(raw, generic=True)
     bar_of_birth = {bar.birth: bar for bar in barcode.bars}
     leaf_to_bar = {leaf.height: bar_of_birth[leaf.height] for leaf in t.leaves()}
@@ -97,9 +83,14 @@ def forget_chirality(t: ChiralMergeTree) -> MergeTree:
     """Drop the left/right order, keeping heights and adjacency."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"forget_chirality takes a ChiralMergeTree, got {type(t).__name__}")
-    if t.is_leaf:
-        return MergeTree(t.height)
-    return MergeTree(t.height, (forget_chirality(t.left), forget_chirality(t.right)))
+    built: list[MergeTree] = []  # copies of the finished subtrees, left one on top
+    for node in reversed(list(t.vertices())):
+        if node.is_leaf:
+            built.append(MergeTree(node.height))
+        else:
+            left = built.pop()
+            built[-1] = MergeTree(node.height, (left, built[-1]))
+    return built[0]
 
 
 def chiral_elder_map(t: ChiralMergeTree) -> Barcode:
@@ -113,15 +104,13 @@ def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"in_order takes a ChiralMergeTree, got {type(t).__name__}")
     out: list[ChiralMergeTree] = []
-
-    def walk(node: ChiralMergeTree) -> None:
-        if not node.is_leaf:
-            walk(node.left)
-        out.append(node)
-        if not node.is_leaf:
-            walk(node.right)
-
-    walk(t)
+    stack = [(t, False)]  # (vertex, whether its subtrees are already expanded)
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or node.is_leaf:
+            out.append(node)
+        else:
+            stack += ((node.right, False), (node, True), (node.left, False))
     return out
 
 
