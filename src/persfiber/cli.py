@@ -86,10 +86,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.mode == "merge-trees":
         print(fiber.count_merge_trees(barcode))
     else:
-        if args.mode == "functions" and barcode.N == 1:
-            raise fiber.DegenerateBarcode(
-                "a single-bar barcode has no piecewise-linear realization"
-            )
+        if args.mode == "functions":
+            fiber.check_function_realizable(barcode)
         print(fiber.count_cmts(barcode))
     return 0
 
@@ -97,11 +95,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     barcode = _barcode_arg(args, args.barcode)
     if args.mode == "merge-trees":
-        out = [tree_to_dict(t) for t in fiber.enumerate_merge_trees(barcode, jobs=args.jobs)]
+        out = [tree_to_dict(t) for t in fiber.enumerate_merge_trees(barcode)]
     elif args.mode == "functions":
-        out = [list(f.values) for f in fiber.enumerate_functions(barcode, jobs=args.jobs)]
+        out = [list(f.values) for f in fiber.enumerate_functions(barcode)]
     else:
-        out = [tree_to_dict(t) for t in fiber.enumerate_cmts(barcode, jobs=args.jobs)]
+        out = [tree_to_dict(t) for t in fiber.enumerate_cmts(barcode)]
     _emit(out)
     return 0
 
@@ -187,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every realization of a barcode")
     p.add_argument("barcode", help="barcode JSON file, or - for stdin")
     _add_mode_flags(p)
-    p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="parallel workers; output is identical regardless")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("reconstruct", help="piecewise-linear function realizing a chiral tree")

@@ -418,27 +418,24 @@ def canonical_form(tree: Tree) -> CanonicalEncoding:
     two child subtrees (by height, then by encoding), so any representation of
     the same tree encodes identically. A lone leaf at height 5 encodes "(5)".
     """
-    if isinstance(tree, ChiralMergeTree):
-        return _encode_chiral(tree)
-    if isinstance(tree, MergeTree):
-        return _encode_unordered(tree)
-    raise KindMismatch(f"not a merge tree: {tree!r}")
-
-
-def _encode_chiral(t: ChiralMergeTree) -> str:
-    if t.is_leaf:
-        return f"({height_token(t.height)})"
-    return f"({height_token(t.height)} {_encode_chiral(t.left)} {_encode_chiral(t.right)})"
-
-
-def _encode_unordered(t: MergeTree) -> str:
-    if t.is_leaf:
-        return f"({height_token(t.height)})"
-    a, b = t.children
-    ea, eb = _encode_unordered(a), _encode_unordered(b)
-    if (b.height, eb) < (a.height, ea):
-        ea, eb = eb, ea
-    return f"({height_token(t.height)} {ea} {eb})"
+    if not isinstance(tree, (MergeTree, ChiralMergeTree)):
+        raise KindMismatch(f"not a merge tree: {tree!r}")
+    chiral = isinstance(tree, ChiralMergeTree)
+    done: list[tuple[Height, str]] = []  # finished subtrees, the left one on top
+    stack: list = [tree]  # None marks a vertex whose two subtrees are done
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            first, second = done.pop(), done.pop()
+            if not chiral and second < first:
+                first, second = second, first
+            done.append((node.height, f"({height_token(node.height)} {first[1]} {second[1]})"))
+        elif node.is_leaf:
+            done.append((node.height, f"({height_token(node.height)})"))
+        else:
+            stack += (node, None, *((node.left, node.right) if chiral else node.children))
+    return done[0][1]
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:

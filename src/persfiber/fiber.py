@@ -5,15 +5,14 @@ Each finite bar j picks a parent bar whose interval strictly contains it and
 attaches there at its death height, splitting the parent's monotone chain;
 chiral plans also pick the side. Multiplying the choice counts gives the
 number of merge trees, and one factor of two per finite bar the number of
-chiral ones. Enumeration materializes every plan and is deterministic:
-plans are walked death-descending / parent-index / left-before-right, and
-results are sorted by canonical form before return.
+chiral ones. The tree enumerators materialize every plan and sort the
+trees by canonical form. Functions are written straight from the choices,
+with no tree built, and sorted by their critical values.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -27,8 +26,8 @@ from .core import (
     Tree,
     ValidationError,
     canonical_form,
+    validate_critical_sequence,
 )
-from .trees import cmt_to_sequence
 
 
 class IndexOutOfRange(ValidationError):
@@ -148,7 +147,7 @@ def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
 
 
 def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
-    """Build the tree a plan describes.
+    """Build the tree a plan of attachment_plans(b) describes.
 
     Each bar is a monotone chain from its birth leaf up to its death; bar j
     becomes an internal vertex at its death height on the parent's chain,
@@ -157,70 +156,52 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
     """
     hanging: dict[int, list[tuple]] = {k: [] for k in range(1, b.N + 1)}
     for i, k in enumerate(plan.parents):
-        j = i + 2
-        side = plan.sides[i] if plan.chiral else None
-        hanging[k].append((b.bars[j - 1].death, j, side))
-
-    def build_chain(k: int, upper: float):
-        below = [ev for ev in hanging[k] if ev[0] < upper]
-        if not below:
-            birth = b.bars[k - 1].birth
-            return ChiralMergeTree(birth) if plan.chiral else MergeTree(birth)
-        death, j, side = max(below)
-        attached = build_chain(j, death)
-        continuation = build_chain(k, death)
-        if not plan.chiral:
-            return MergeTree(death, (continuation, attached))
-        if side == "L":
-            return ChiralMergeTree(death, attached, continuation)
-        return ChiralMergeTree(death, continuation, attached)
-
-    return build_chain(1, math.inf)
+        hanging[k].append((i + 2, plan.sides[i] if plan.chiral else None))
+    built: dict[int, Tree] = {}
+    # A bar dies below its parent, so it has the larger index: building the
+    # youngest bar's chain first finds every attached chain already built.
+    for k in range(b.N, 0, -1):
+        node = (ChiralMergeTree if plan.chiral else MergeTree)(b.bars[k - 1].birth)
+        for j, side in reversed(hanging[k]):  # up the chain, lowest death first
+            death, attached = b.bars[j - 1].death, built.pop(j)
+            if not plan.chiral:
+                node = MergeTree(death, (node, attached))
+            elif side == "L":
+                node = ChiralMergeTree(death, attached, node)
+            else:
+                node = ChiralMergeTree(death, node, attached)
+        built[k] = node
+    return built[1]
 
 
-def _materialize_chunk(b: Barcode, plans: list[AttachmentPlan]) -> list[Tree]:
-    return [materialize(b, p) for p in plans]
-
-
-def _run_plans(b: Barcode, plans: list[AttachmentPlan], jobs: int) -> list[Tree]:
-    if jobs <= 1 or len(plans) < 2:
-        return _materialize_chunk(b, plans)
-    jobs = min(jobs, len(plans))
-    step = -(-len(plans) // jobs)
-    chunks = [plans[i : i + step] for i in range(0, len(plans), step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_materialize_chunk, [b] * len(chunks), chunks)
-        return [t for part in parts for t in part]
-
-
-def enumerate_merge_trees(b: Barcode, *, jobs: int = 1) -> list[MergeTree]:
+def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     """Every merge tree realizing b, sorted by canonical form.
 
     Pairwise non-isomorphic for generic b: two plans always differ in some
     attachment height pairing, which the canonical form sees.
     """
-    trees = _run_plans(b, attachment_plans(b, chiral=False), jobs)
+    trees = [materialize(b, p) for p in attachment_plans(b, chiral=False)]
     return sorted(trees, key=canonical_form)
 
 
-def enumerate_cmts(b: Barcode, *, jobs: int = 1) -> list[ChiralMergeTree]:
+def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
     """Every chiral merge tree realizing b, sorted by canonical form.
 
     Pairwise non-isomorphic when births are distinct; with tied births two
     mirror-symmetric siblings can coincide and the formula count exceeds the
     number of distinct classes.
     """
-    trees = _run_plans(b, attachment_plans(b, chiral=True), jobs)
+    trees = [materialize(b, p) for p in attachment_plans(b, chiral=True)]
     return sorted(trees, key=canonical_form)
 
 
-def enumerate_functions(b: Barcode, *, jobs: int = 1) -> list[CriticalSequence]:
-    """Canonical representative of every function class realizing b.
+def check_function_realizable(b: Barcode) -> None:
+    """Raise unless b has two bars or more, distinct births, and no death equal to a birth.
 
-    Needs pairwise distinct births; a lone essential bar has no realization
-    with the mandatory two boundary minima.
+    Exactly those barcodes are realized by functions with pairwise distinct
+    critical values; count and enumerate --functions share this rule.
     """
-    if b.N == 1:
+    if b.N < 2:
         raise DegenerateBarcode("a single-bar barcode has no piecewise-linear realization")
     seen: dict = {}
     for j, bar in enumerate(b.bars, 1):
@@ -230,14 +211,36 @@ def enumerate_functions(b: Barcode, *, jobs: int = 1) -> list[CriticalSequence]:
             )
         seen[bar.birth] = j
     for d in b.finite_deaths:
-        # A death that equals some other bar's birth cannot come from a
-        # function with pairwise distinct critical values.
         if d in seen:
             raise DuplicateValue(f"death {d!r} collides with the birth of bar {seen[d]}")
-    return sorted(
-        (cmt_to_sequence(t) for t in enumerate_cmts(b, jobs=jobs)),
-        key=lambda s: s.values,
-    )
+
+
+def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
+    """Canonical representative of every function class realizing b, sorted by values.
+
+    Each is the in-order traversal of the chiral tree a plan describes,
+    written with no tree built. From [b_1], bars are placed in death order:
+    bar j on side L of bar k inserts (b_j, d_j) just left of b_k, on side R
+    (d_j, b_j) just right of it. A later bar dies lower, so it lands next to
+    its own parent's birth, inside the subtree materialize would hang it in.
+    Each result costs N searches and inserts in a list of at most 2N - 1
+    values, and is validated as a critical sequence.
+    """
+    check_function_realizable(b)
+    choices = [
+        [(b.bars[k - 1].birth, right, pair)
+         for k in containing_set(b, bar.index)
+         for right, pair in ((0, (bar.birth, bar.death)), (1, (bar.death, bar.birth)))]
+        for bar in b.bars[1:]
+    ]
+    out = []
+    for combo in product(*choices):
+        seq = [b.bars[0].birth]
+        for parent_birth, right, pair in combo:
+            i = seq.index(parent_birth) + right
+            seq[i:i] = pair
+        out.append(validate_critical_sequence(seq))
+    return sorted(out, key=lambda s: s.values)
 
 
 def containment_poset(b: Barcode) -> ContainmentPoset:

@@ -105,13 +105,6 @@ def test_enumerate_trees_command(write, capsys):
     ]
 
 
-def test_enumerate_jobs_flag_is_invisible_in_output(write, capsys):
-    path = write(BC4)
-    _, serial, _ = run(capsys, ["enumerate", "--chiral", path])
-    _, parallel, _ = run(capsys, ["enumerate", "--chiral", path, "--jobs", "3"])
-    assert serial == parallel
-
-
 def test_reconstruct_command(write, capsys):
     doc = {"height": 7, "left": {"height": 1}, "right": {"height": 2}}
     code, out, _ = run(capsys, ["reconstruct", write(doc)])
@@ -188,6 +181,23 @@ def test_count_functions_rejects_tied_births(write, capsys):
     # the same barcode is fine when counting trees
     code, out, _ = run(capsys, ["count", "--chiral", write(doc)])
     assert (code, out) == (0, "8\n")
+
+
+def test_count_functions_refuses_what_enumerate_refuses(write, capsys):
+    # [2, 3) dies where [3, 5) is born: no function with pairwise distinct
+    # critical values carries both, so neither subcommand may answer
+    doc = {
+        "bars": [
+            {"birth": 1, "death": None},
+            {"birth": 2, "death": 3},
+            {"birth": 3, "death": 5},
+        ]
+    }
+    path = write(doc)
+    for command in ("count", "enumerate"):
+        code, out, err = run(capsys, [command, "--functions", path])
+        assert (code, out) == (1, "")
+        assert err.startswith("DuplicateValue:")
 
 
 def test_count_functions_rejects_lone_bar(write, capsys):

@@ -177,12 +177,6 @@ def test_enumerate_functions_rejects_birth_death_collision():
         enumerate_functions(b)
 
 
-def test_parallel_enumeration_matches_serial():
-    assert enumerate_cmts(NESTED, jobs=2) == enumerate_cmts(NESTED)
-    assert enumerate_merge_trees(NESTED, jobs=3) == enumerate_merge_trees(NESTED)
-    assert enumerate_functions(NESTED, jobs=2) == enumerate_functions(NESTED)
-
-
 def test_six_bar_enumeration_matches_formula():
     b = validate_barcode(
         [(0, None), (1, 20), (2, 10), (3, 9), (11, 19), (12, 18)],

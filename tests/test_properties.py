@@ -1,4 +1,4 @@
-"""Property tests: the one-pass choice counts and the sweep against their references."""
+"""Property tests: the one-pass choice counts, the sweep and the enumerators against their references."""
 import math
 
 from hypothesis import given, settings
@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from persfiber import (
     barcode_of_sequence,
+    brute_fiber,
     cmt_to_sequence,
     containing_set,
     count_merge_trees,
     elder_rule,
+    enumerate_cmts,
+    enumerate_functions,
     forget_chirality,
     merge_tree_of_sequence,
     mu,
@@ -33,9 +36,9 @@ def barcodes(draw):
 
 
 @st.composite
-def sequences(draw):
+def sequences(draw, max_size=41):
     """Alternating critical sequences with ints and floats mixed."""
-    values = draw(st.lists(heights, min_size=3, max_size=41, unique=True))
+    values = draw(st.lists(heights, min_size=3, max_size=max_size, unique=True))
     values = values[: len(values) - 1 + len(values) % 2]
     # One pass of wiggle sort: even indices become local minima.
     for i in range(len(values) - 1):
@@ -67,3 +70,21 @@ def test_merge_tree_round_trip_and_leaf_to_bar(f):
     assert sorted(leaf_to_bar) == list(range(1, len(f) + 1, 2))
     for pos, index in leaf_to_bar.items():
         assert barcode.bars[index - 1].birth == f.values[pos - 1]
+
+
+# A barcode swept from a sequence is realizable by a function; 11 values are N = 6 bars.
+@settings(deadline=None)
+@given(sequences(max_size=11))
+def test_enumerate_functions_is_in_order_of_every_chiral_tree(f):
+    b, _ = barcode_of_sequence(f)
+    functions = enumerate_functions(b)
+    assert functions == sorted((cmt_to_sequence(t) for t in enumerate_cmts(b)), key=lambda s: s.values)
+    assert f in functions
+    assert all(barcode_of_sequence(g)[0] == b for g in functions)
+
+
+@settings(deadline=None)
+@given(sequences(max_size=9))
+def test_enumerate_functions_matches_brute_force(f):
+    b, _ = barcode_of_sequence(f)
+    assert brute_fiber(b) == enumerate_functions(b)

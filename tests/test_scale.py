@@ -5,10 +5,12 @@ import pytest
 
 from persfiber import (
     barcode_of_sequence,
+    canonical_form,
     cmt_to_sequence,
     count_cmts,
     count_merge_trees,
     elder_rule,
+    enumerate_merge_trees,
     forget_chirality,
     merge_tree_of_sequence,
     validate_barcode,
@@ -43,3 +45,11 @@ def test_count_of_large_nested_barcode():
     n = 20000
     nested = validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
     assert count_merge_trees(nested) == math.factorial(n - 1)
+
+
+def test_enumerate_merge_trees_of_deep_zigzag():
+    # The single merge tree is a chain of depth k-1, far beyond the recursion limit.
+    f = validate_critical_sequence(zigzag(1500))
+    barcode, _ = barcode_of_sequence(f)
+    (tree,) = enumerate_merge_trees(barcode)
+    assert canonical_form(tree) == canonical_form(forget_chirality(merge_tree_of_sequence(f)))
