@@ -38,6 +38,10 @@ class DegenerateBarcode(ValidationError):
     """A single-bar barcode has no realization with at least two minima."""
 
 
+class InvalidPlan(ValidationError):
+    """An attachment plan that does not describe a realization of its barcode."""
+
+
 @dataclass(frozen=True)
 class AttachmentPlan:
     """One realization choice: for each bar j = 2..N its parent, and side if chiral.
@@ -146,14 +150,33 @@ def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
     return plans
 
 
+def _check_plan(b: Barcode, plan: AttachmentPlan) -> None:
+    """Raise InvalidPlan unless every bar 2..N has a side (if chiral) and a parent containing it; O(N)."""
+    bars, parents, sides = b.bars, plan.parents, plan.sides
+    if len(parents) != len(bars) - 1:
+        raise InvalidPlan(f"a plan for {len(bars)} bars needs {len(bars) - 1} parents, got {len(parents)}")
+    if plan.chiral:
+        if len(sides) != len(parents):
+            raise InvalidPlan(f"got {len(sides)} sides for {len(parents)} parents")
+        if sides.count("L") + sides.count("R") != len(sides):
+            j, side = next((j, s) for j, s in enumerate(sides, 2) if s not in ("L", "R"))
+            raise InvalidPlan(f"side of bar {j} must be 'L' or 'R', got {side!r}", position=j)
+    indices = range(1, len(bars) + 1)
+    for j, k in enumerate(parents, 2):
+        if k not in indices or not bars[k - 1].strictly_contains(bars[j - 1]):
+            raise InvalidPlan(f"parent {k!r} of bar {j} does not strictly contain it", position=j)
+
+
 def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
     """Build the tree a plan of attachment_plans(b) describes.
 
     Each bar is a monotone chain from its birth leaf up to its death; bar j
     becomes an internal vertex at its death height on the parent's chain,
     with the parent's continuation on one side and bar j's own subtree on the
-    other. The elder rule of the result returns exactly b.
+    other. The elder rule of the result returns exactly b. A plan that is
+    not one of attachment_plans(b) raises InvalidPlan.
     """
+    _check_plan(b, plan)
     hanging: dict[int, list[tuple]] = {k: [] for k in range(1, b.N + 1)}
     for i, k in enumerate(plan.parents):
         hanging[k].append((i + 2, plan.sides[i] if plan.chiral else None))

@@ -2,9 +2,12 @@
 
 all_functions and brute_fiber know nothing about attachment plans or
 counting formulas: they generate every alternating arrangement of the given
-values, keep the ones the sequence validator accepts, and filter by sweep
-barcode. verify() is the one place both routes meet; it reports the formula,
-the plan enumeration, and the brute force side by side.
+values, keep the ones the sequence validator accepts, and group them by
+sweep barcode. verify() is the one place both routes meet. It generates the
+candidates once, sweeps each of them once, and reports the formula, the plan
+enumeration and the brute force side by side; its partition check compares
+the size of every fiber that arises from b's critical values with the
+counting formula.
 """
 from __future__ import annotations
 
@@ -64,45 +67,39 @@ def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[Cr
     return out
 
 
+def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
+    """all_functions(minima, maxima) grouped by sweep barcode, in one pass."""
+    groups: dict[Barcode, list[CriticalSequence]] = {}
+    for f in all_functions(minima, maxima):
+        groups.setdefault(barcode_of_sequence(f)[0], []).append(f)
+    return groups
+
+
 def brute_fiber(b: Barcode) -> list[CriticalSequence]:
     """Every function realizing b, found by filtering all_functions by sweep.
 
     The barcode's births are the candidate minima and its finite deaths the
     maxima; nothing from the plan enumeration is consulted.
     """
-    candidates = all_functions(b.births, b.finite_deaths)
-    return [f for f in candidates if barcode_of_sequence(f)[0] == b]
+    return _fibers(b.births, b.finite_deaths).get(b, [])
 
 
 def verify(b: Barcode) -> dict:
     """Play formula, plan enumeration and brute force against each other.
 
-    The partition check recomputes the brute fiber of every barcode arising
-    from b's critical values and confirms those fibers are disjoint and cover
-    all_functions exactly.
+    The brute force runs first, so an input past MAX_MINIMA or with shared
+    critical values is refused before any tree is built. Its candidates are
+    generated once and swept once; grouped by barcode, they give both b's
+    brute fiber and the partition check: every barcode arising from b's
+    critical values a has exactly count_cmts(a) functions.
     """
+    groups = _fibers(b.births, b.finite_deaths)
+    brute = groups.get(b, [])
+    partition_check = all(len(fs) == fiber.count_cmts(a) for a, fs in groups.items())
+
     cmts = fiber.enumerate_cmts(b)
     mts = fiber.enumerate_merge_trees(b)
     dedup = len({canonical_form(forget_chirality(t)) for t in cmts})
-    brute = brute_fiber(b)
-
-    candidates = all_functions(b.births, b.finite_deaths)
-    by_barcode: dict[Barcode, list[CriticalSequence]] = {}
-    for f in candidates:
-        by_barcode.setdefault(barcode_of_sequence(f)[0], []).append(f)
-    covered: set[tuple] = set()
-    total = 0
-    disjoint = True
-    for arising in by_barcode:
-        for f in brute_fiber(arising):
-            total += 1
-            if f.values in covered:
-                disjoint = False
-            covered.add(f.values)
-    partition_check = (
-        disjoint and total == len(candidates) and covered == {f.values for f in candidates}
-    )
-
     formula_cmt = fiber.count_cmts(b)
     formula_mt = fiber.count_merge_trees(b)
     return {

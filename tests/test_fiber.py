@@ -9,6 +9,7 @@ from persfiber import (
     DuplicateBirth,
     DuplicateValue,
     IndexOutOfRange,
+    InvalidPlan,
     MergeTree,
     attachment_plans,
     canonical_form,
@@ -107,6 +108,23 @@ def test_every_plan_realizes_its_barcode():
 
 
 # --- enumeration
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        AttachmentPlan((1, 4, 1)),  # bar 4 = [4, 5) cannot carry bar 3 = [3, 6)
+        AttachmentPlan((0, 1, 1)),
+        AttachmentPlan((1, 1, 5)),
+        AttachmentPlan((1, 1)),
+        AttachmentPlan((1, 2, 3), ("L", "X", "R")),
+        AttachmentPlan((1, 2, 3), ("L", "R")),
+    ],
+    ids=["parent-not-containing", "parent-0", "parent-5", "missing-bar", "unknown-side", "short-sides"],
+)
+def test_materialize_rejects_a_malformed_plan(plan):
+    with pytest.raises(InvalidPlan):
+        materialize(NESTED, plan)
 
 
 def test_enumerate_merge_trees_two_bars():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import persfiber.oracle as oracle
 from persfiber import (
     CardinalityMismatch,
     DuplicateValue,
@@ -16,6 +17,10 @@ from persfiber import (
 NESTED = validate_barcode([(1, None), (2, 7), (3, 6), (4, 5)])
 TWO = validate_barcode([(1, None), (2, 7)])
 THREE = validate_barcode([(1, None), (2, 7), (3, 6)])
+
+
+def nested(n):
+    return validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
 
 
 def random_barcode(rng, n):
@@ -130,3 +135,49 @@ def test_verify_random_barcodes():
 def test_verify_needs_distinct_births():
     with pytest.raises(DuplicateValue):
         verify(validate_barcode([(1, None), (2, 7), (2, 6)]))
+
+
+def test_verify_nested_five_bars():
+    report = verify(nested(5))
+    assert report["brute_count"] == 16 * 24
+    assert report["all_equal"] and report["partition_check"], report
+
+
+def test_verify_generates_the_candidates_once(monkeypatch):
+    calls = []
+    original = oracle.all_functions
+
+    def counting(minima, maxima):
+        calls.append(1)
+        return original(minima, maxima)
+
+    monkeypatch.setattr(oracle, "all_functions", counting)
+    assert verify(NESTED)["partition_check"]
+    assert len(calls) == 1
+
+
+def test_partition_check_fails_when_a_fiber_size_is_off(monkeypatch):
+    # {[1, inf), [2, 6), [3, 7)} arises from THREE's values, e.g. as 3 7 1 6 2
+    other = validate_barcode([(1, None), (2, 6), (3, 7)])
+    seen = []
+    original = oracle.fiber.count_cmts
+
+    def off_by_one(b):
+        seen.append(b)
+        return original(b) + (b == other)
+
+    monkeypatch.setattr(oracle.fiber, "count_cmts", off_by_one)
+    report = verify(THREE)
+    assert other in seen
+    assert report["all_equal"]
+    assert report["partition_check"] is False
+
+
+def test_verify_refuses_before_building_trees(monkeypatch):
+    def fail(b):
+        raise AssertionError("verify built trees before refusing")
+
+    monkeypatch.setattr(oracle.fiber, "enumerate_cmts", fail)
+    monkeypatch.setattr(oracle.fiber, "enumerate_merge_trees", fail)
+    with pytest.raises(ScaleCapExceeded):
+        verify(nested(7))
