@@ -135,6 +135,7 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     barcode = barcode_from_dict(_load(args.barcode), distinct_births=True)
+    fiber.check_function_realizable(barcode)
     _emit(oracle.verify(barcode))
     return 0
 

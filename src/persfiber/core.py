@@ -8,6 +8,7 @@ serialized as JSON null.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -142,30 +143,42 @@ class CriticalSequence:
 def validate_critical_sequence(values: Sequence[Height]) -> CriticalSequence:
     """Check the alternation contract and wrap the values.
 
-    Raises EvenLength, TooShort, DuplicateValue or NotAlternating, in that
-    order of precedence; each carries the first offending 1-based position.
+    Raises InvalidDocument, EvenLength, TooShort, DuplicateValue or
+    NotAlternating, in that order of precedence; InvalidDocument,
+    DuplicateValue and NotAlternating carry the first offending 1-based
+    position. Each check runs over the whole tuple with builtins; the
+    per-position loop that locates the failure runs only when a check fails.
     """
     vals = tuple(values)
-    for i, v in enumerate(vals, 1):
-        _require_height(v, where="critical value", position=i)
+    types = set(map(type, vals))
+    try:
+        plain = types <= {int, float} and (float not in types or all(map(math.isfinite, vals)))
+    except OverflowError:  # an int too large for a float; the loop accepts it
+        plain = False
+    if not plain:  # int subclasses also take the loop, which accepts them
+        for i, v in enumerate(vals, 1):
+            _require_height(v, where="critical value", position=i)
     n = len(vals)
     if n % 2 == 0:
         raise EvenLength(f"need an odd number of critical values, got {n}")
     if n < 3:
         raise TooShort(f"need at least 3 critical values, got {n}")
-    first_at: dict[Height, int] = {}
-    for i, v in enumerate(vals, 1):
-        if v in first_at:
-            raise DuplicateValue(
-                f"value {v!r} at position {i} repeats position {first_at[v]}", position=i
-            )
-        first_at[v] = i
-    for i in range(2, n + 1):
-        prev, cur = vals[i - 2], vals[i - 1]
-        if i % 2 == 0 and not prev < cur:
-            raise NotAlternating(f"position {i} is not a local maximum", position=i)
-        if i % 2 == 1 and not prev > cur:
-            raise NotAlternating(f"position {i} is not a local minimum", position=i)
+    if len(set(vals)) != n:
+        first_at: dict[Height, int] = {}
+        for i, v in enumerate(vals, 1):
+            if v in first_at:
+                raise DuplicateValue(
+                    f"value {v!r} at position {i} repeats position {first_at[v]}", position=i
+                )
+            first_at[v] = i
+    if not (all(map(operator.lt, vals[0::2], vals[1::2]))
+            and all(map(operator.gt, vals[1::2], vals[2::2]))):
+        for i in range(2, n + 1):
+            prev, cur = vals[i - 2], vals[i - 1]
+            if i % 2 == 0 and not prev < cur:
+                raise NotAlternating(f"position {i} is not a local maximum", position=i)
+            if i % 2 == 1 and not prev > cur:
+                raise NotAlternating(f"position {i} is not a local minimum", position=i)
     return CriticalSequence(vals)
 
 

@@ -247,7 +247,8 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     (d_j, b_j) just right of it. A later bar dies lower, so it lands next to
     its own parent's birth, inside the subtree materialize would hang it in.
     Each result costs N searches and inserts in a list of at most 2N - 1
-    values, and is validated as a critical sequence.
+    values. The raw tuples are sorted, then each is validated as a critical
+    sequence.
     """
     check_function_realizable(b)
     choices = [
@@ -262,8 +263,9 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
         for parent_birth, right, pair in combo:
             i = seq.index(parent_birth) + right
             seq[i:i] = pair
-        out.append(validate_critical_sequence(seq))
-    return sorted(out, key=lambda s: s.values)
+        out.append(tuple(seq))
+    out.sort()
+    return [validate_critical_sequence(seq) for seq in out]
 
 
 def containment_poset(b: Barcode) -> ContainmentPoset:

@@ -201,9 +201,12 @@ def test_count_functions_refuses_what_enumerate_refuses(write, capsys):
 
 
 def test_count_functions_rejects_lone_bar(write, capsys):
-    code, _, err = run(capsys, ["count", "--functions", write({"bars": [{"birth": 4, "death": None}]})])
-    assert code == 1
-    assert err.startswith("DegenerateBarcode:")
+    # count --functions, enumerate --functions and verify share one realizability rule.
+    path = write({"bars": [{"birth": 4, "death": None}]})
+    for argv in (["count", "--functions"], ["enumerate", "--functions"], ["verify"]):
+        code, _, err = run(capsys, argv + [path])
+        assert code == 1, argv
+        assert err.startswith("DegenerateBarcode:"), (argv, err)
 
 
 def test_reconstruct_rejects_unordered_tree(write, capsys):

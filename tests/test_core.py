@@ -1,5 +1,6 @@
 import json
 import math
+from enum import IntEnum
 
 import pytest
 
@@ -96,6 +97,24 @@ def test_mixed_int_float_heights_compare_exactly():
     assert s.values == (1, 7.5, 2)
     with pytest.raises(DuplicateValue):
         validate_critical_sequence([1, 7, 1.0])
+
+
+def test_accepts_an_int_too_large_for_a_float():
+    # math.isfinite(10**400) raises OverflowError; the height is still exact and valid.
+    s = validate_critical_sequence([1.5, 10**400, 2.5])
+    assert s.values == (1.5, 10**400, 2.5)
+
+
+def test_accepts_int_subclass_heights():
+    H = IntEnum("H", [("LOW", 1), ("TOP", 7), ("MID", 2)])
+    s = validate_critical_sequence([H.LOW, H.TOP, H.MID])
+    assert s.values == (1, 7, 2)
+
+
+def test_non_finite_height_outranks_a_broken_alternation():
+    with pytest.raises(InvalidDocument) as err:
+        validate_critical_sequence([1, float("nan"), 5, 9, 2])
+    assert err.value.position == 2
 
 
 # --- reduce_breakpoints

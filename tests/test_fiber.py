@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from persfiber import fiber
 from persfiber import (
     AttachmentPlan,
     ChiralMergeTree,
@@ -26,6 +27,7 @@ from persfiber import (
     mu,
     same_stratum,
     validate_barcode,
+    validate_critical_sequence,
 )
 
 NESTED = validate_barcode([(1, None), (2, 7), (3, 6), (4, 5)])
@@ -175,6 +177,22 @@ def test_enumerate_functions_nested():
     assert fns[0].values == (1, 5, 4, 6, 3, 7, 2)
     assert fns[-1].values == (4, 5, 3, 6, 2, 7, 1)
     assert len({f.values for f in fns}) == 48
+
+
+def test_enumerate_functions_validates_every_output(monkeypatch):
+    b = validate_barcode([(1, None), (2, 9), (3, 8), (4, 7), (5, 6)])
+    expected = enumerate_functions(b)
+    calls = []
+
+    def counting(values):
+        calls.append(values)
+        return validate_critical_sequence(values)
+
+    monkeypatch.setattr(fiber, "validate_critical_sequence", counting)
+    fns = enumerate_functions(b)
+    assert len(calls) == count_cmts(b) == 384
+    assert fns == expected
+    assert [f.values for f in fns] == sorted(f.values for f in fns)
 
 
 def test_enumerate_functions_needs_two_minima():

@@ -1,5 +1,6 @@
-"""Property tests: the one-pass choice counts, the sweep and the enumerators against their references."""
+"""Property tests: the one-pass choice counts, the sweep, the enumerators and the validator against their references."""
 import math
+from enum import IntEnum
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,14 @@ from persfiber import (
     validate_barcode,
     validate_critical_sequence,
 )
+from persfiber.core import (
+    CriticalSequence,
+    DuplicateValue,
+    EvenLength,
+    NotAlternating,
+    TooShort,
+    _require_height,
+)
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
@@ -35,16 +44,19 @@ def barcodes(draw):
     return validate_barcode([(0, None)] + list(zip(births, deaths)))
 
 
+def _wiggle(values):
+    """One pass of wiggle sort on distinct values: even indices become local minima."""
+    for i in range(len(values) - 1):
+        if (i % 2 == 0) == (values[i] > values[i + 1]):
+            values[i], values[i + 1] = values[i + 1], values[i]
+    return values
+
+
 @st.composite
 def sequences(draw, max_size=41):
     """Alternating critical sequences with ints and floats mixed."""
     values = draw(st.lists(heights, min_size=3, max_size=max_size, unique=True))
-    values = values[: len(values) - 1 + len(values) % 2]
-    # One pass of wiggle sort: even indices become local minima.
-    for i in range(len(values) - 1):
-        if (i % 2 == 0) == (values[i] > values[i + 1]):
-            values[i], values[i + 1] = values[i + 1], values[i]
-    return validate_critical_sequence(values)
+    return validate_critical_sequence(_wiggle(values[: len(values) - 1 + len(values) % 2]))
 
 
 @settings(deadline=None)
@@ -88,3 +100,77 @@ def test_enumerate_functions_is_in_order_of_every_chiral_tree(f):
 def test_enumerate_functions_matches_brute_force(f):
     b, _ = barcode_of_sequence(f)
     assert brute_fiber(b) == enumerate_functions(b)
+
+
+def _reference_validate(values):
+    """The per-value validator that the bulk checks replaced, kept as the reference."""
+    vals = tuple(values)
+    for i, v in enumerate(vals, 1):
+        _require_height(v, where="critical value", position=i)
+    n = len(vals)
+    if n % 2 == 0:
+        raise EvenLength(f"need an odd number of critical values, got {n}")
+    if n < 3:
+        raise TooShort(f"need at least 3 critical values, got {n}")
+    first_at = {}
+    for i, v in enumerate(vals, 1):
+        if v in first_at:
+            raise DuplicateValue(
+                f"value {v!r} at position {i} repeats position {first_at[v]}", position=i
+            )
+        first_at[v] = i
+    for i in range(2, n + 1):
+        prev, cur = vals[i - 2], vals[i - 1]
+        if i % 2 == 0 and not prev < cur:
+            raise NotAlternating(f"position {i} is not a local maximum", position=i)
+        if i % 2 == 1 and not prev > cur:
+            raise NotAlternating(f"position {i} is not a local minimum", position=i)
+    return CriticalSequence(vals)
+
+
+Level = IntEnum("Level", [("LOW", -3), ("HIGH", 40)])
+ODD_VALUES = [
+    True, False, math.nan, math.inf, -math.inf, "7", None, 10**400, -(10**400),
+    7, 7.0, 0, -0.0, 0.0, Level.LOW, Level.HIGH,
+]
+
+
+@st.composite
+def near_critical_values(draw):
+    """Wiggle-sorted distinct int/float lists, mostly of odd length, then a few entries spoiled.
+
+    A spoil puts an odd value at a position (bool, NaN, an infinity, str,
+    None, an int too large for a float, an IntEnum), copies another entry's
+    value as an equal int or float, or swaps two neighbours.
+    """
+    values = draw(st.lists(heights, max_size=13, unique=True))
+    if draw(st.booleans()):
+        values = values[: len(values) - 1 + len(values) % 2]
+    _wiggle(values)
+    for _ in range(draw(st.integers(0, 3)) if values else 0):
+        i = draw(st.integers(0, len(values) - 1))
+        j = draw(st.integers(0, len(values) - 1))
+        kind = draw(st.sampled_from(["odd", "equal", "swap"]))
+        if kind == "odd":
+            values[i] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "equal" and type(values[j]) is int and abs(values[j]) < 2**53:
+            values[i] = float(values[j])
+        elif kind == "equal" and type(values[j]) is float and math.isfinite(values[j]):
+            values[i] = int(values[j]) if values[j].is_integer() else values[j]
+        elif kind == "swap" and i + 1 < len(values):
+            values[i], values[i + 1] = values[i + 1], values[i]
+    return values
+
+
+def _outcome(validate, values):
+    try:
+        s = validate(values)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "position", None)
+    return [(type(v), v) for v in s.values]
+
+
+@settings(deadline=None, max_examples=500)
+@given(near_critical_values())
+def test_bulk_validator_matches_reference(values):
+    assert _outcome(validate_critical_sequence, values) == _outcome(_reference_validate, values)
