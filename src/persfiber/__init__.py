@@ -5,109 +5,67 @@ values) into a barcode or a chiral merge tree. The backward direction counts
 and enumerates every merge tree, chiral merge tree and function class that
 realizes a given barcode, with a brute-force oracle to check the formulas
 against.
+
+The top level holds the pipeline and every ValidationError subclass; the
+rest (value classes, JSON codecs, attachment plans, strata, the brute force
+itself) is imported from its own module.
 """
 from .core import (
-    Barcode,
     BarNotContainedInEssential,
     BoundaryNotMin,
-    CanonicalEncoding,
-    ChiralMergeTree,
-    CriticalSequence,
     DuplicateBirth,
     DuplicateDeath,
     DuplicateValue,
     EmptyBar,
     EvenLength,
-    Height,
-    Interval,
     InvalidDocument,
     InvalidTree,
     KindMismatch,
-    MergeTree,
     MultipleInfiniteBars,
     NoInfiniteBar,
     NotAlternating,
     Plateau,
     TooShort,
     ValidationError,
-    barcode_from_dict,
-    barcode_to_dict,
-    canonical_form,
-    is_isomorphic,
-    reduce_breakpoints,
-    sequence_from_dict,
-    sequence_to_dict,
-    tree_from_dict,
-    tree_to_dict,
     validate_barcode,
     validate_critical_sequence,
 )
 from .fiber import (
-    AttachmentPlan,
-    ContainmentPoset,
     DegenerateBarcode,
-    IndexOutOfRange,
     InvalidPlan,
-    attachment_plans,
-    containing_set,
-    containment_poset,
     count_cmts,
     count_merge_trees,
     enumerate_cmts,
     enumerate_functions,
     enumerate_merge_trees,
-    materialize,
-    mu,
-    same_stratum,
 )
-from .oracle import (
-    CardinalityMismatch,
-    ScaleCapExceeded,
-    all_functions,
-    brute_fiber,
-    verify,
-)
-from .persistence import BadPair, barcode_of_sequence, graph_equivalent, rank
+from .oracle import CardinalityMismatch, ScaleCapExceeded, verify
+from .persistence import BadPair, barcode_of_sequence, rank
 from .trees import (
-    ElderDecomposition,
     TooSmall,
-    chiral_elder_map,
     cmt_to_sequence,
     elder_rule,
     forget_chirality,
-    in_order,
     merge_tree_of_sequence,
-    to_dot,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttachmentPlan",
     "BadPair",
-    "Barcode",
     "BarNotContainedInEssential",
     "BoundaryNotMin",
-    "CanonicalEncoding",
     "CardinalityMismatch",
-    "ChiralMergeTree",
-    "ContainmentPoset",
-    "CriticalSequence",
     "DegenerateBarcode",
     "DuplicateBirth",
     "DuplicateDeath",
     "DuplicateValue",
-    "ElderDecomposition",
     "EmptyBar",
     "EvenLength",
-    "Height",
-    "IndexOutOfRange",
-    "Interval",
     "InvalidDocument",
     "InvalidPlan",
     "InvalidTree",
     "KindMismatch",
-    "MergeTree",
     "MultipleInfiniteBars",
     "NoInfiniteBar",
     "NotAlternating",
@@ -116,17 +74,8 @@ __all__ = [
     "TooShort",
     "TooSmall",
     "ValidationError",
-    "all_functions",
-    "attachment_plans",
-    "barcode_from_dict",
     "barcode_of_sequence",
-    "barcode_to_dict",
-    "brute_fiber",
-    "canonical_form",
-    "chiral_elder_map",
     "cmt_to_sequence",
-    "containing_set",
-    "containment_poset",
     "count_cmts",
     "count_merge_trees",
     "elder_rule",
@@ -134,20 +83,8 @@ __all__ = [
     "enumerate_functions",
     "enumerate_merge_trees",
     "forget_chirality",
-    "graph_equivalent",
-    "in_order",
-    "is_isomorphic",
-    "materialize",
     "merge_tree_of_sequence",
-    "mu",
     "rank",
-    "reduce_breakpoints",
-    "same_stratum",
-    "sequence_from_dict",
-    "sequence_to_dict",
-    "to_dot",
-    "tree_from_dict",
-    "tree_to_dict",
     "validate_barcode",
     "validate_critical_sequence",
     "verify",

@@ -13,12 +13,9 @@ import sys
 
 from . import fiber, oracle, persistence, trees
 from .core import (
-    Barcode,
     ChiralMergeTree,
-    CriticalSequence,
     InvalidDocument,
     KindMismatch,
-    MergeTree,
     ValidationError,
     barcode_from_dict,
     barcode_to_dict,
@@ -31,7 +28,7 @@ from .core import (
 def _load(path: str) -> object:
     if path == "-":
         return json.load(sys.stdin)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -47,11 +44,6 @@ def _parse_level(text: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidDocument(f"not a number: {text!r}")
     return value
-
-
-def _barcode_arg(args: argparse.Namespace, path: str) -> Barcode:
-    mode = getattr(args, "mode", None)
-    return barcode_from_dict(_load(path), distinct_births=mode == "functions")
 
 
 def cmd_barcode(args: argparse.Namespace) -> int:
@@ -74,15 +66,14 @@ def cmd_tree(args: argparse.Namespace) -> int:
 def cmd_elder(args: argparse.Namespace) -> int:
     tree = tree_from_dict(_load(args.tree))
     if isinstance(tree, ChiralMergeTree):
-        barcode = trees.chiral_elder_map(tree)
-    else:
-        barcode, _ = trees.elder_rule(tree)
+        tree = trees.forget_chirality(tree)
+    barcode, _ = trees.elder_rule(tree)
     _emit(barcode_to_dict(barcode))
     return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    barcode = _barcode_arg(args, args.barcode)
+    barcode = barcode_from_dict(_load(args.barcode))
     if args.mode == "merge-trees":
         print(fiber.count_merge_trees(barcode))
     else:
@@ -93,7 +84,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    barcode = _barcode_arg(args, args.barcode)
+    barcode = barcode_from_dict(_load(args.barcode))
     if args.mode == "merge-trees":
         out = [tree_to_dict(t) for t in fiber.enumerate_merge_trees(barcode)]
     elif args.mode == "functions":
@@ -134,7 +125,7 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    barcode = barcode_from_dict(_load(args.barcode), distinct_births=True)
+    barcode = barcode_from_dict(_load(args.barcode))
     fiber.check_function_realizable(barcode)
     _emit(oracle.verify(barcode))
     return 0
@@ -214,13 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"JSONDecodeError: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

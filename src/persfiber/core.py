@@ -486,7 +486,7 @@ def barcode_to_dict(b: Barcode) -> dict:
     }
 
 
-def barcode_from_dict(doc: object, *, generic: bool = True, distinct_births: bool = False) -> Barcode:
+def barcode_from_dict(doc: object) -> Barcode:
     if not isinstance(doc, dict) or set(doc) != {"bars"}:
         raise InvalidDocument('expected an object with the single key "bars"')
     bars = doc["bars"]
@@ -497,7 +497,7 @@ def barcode_from_dict(doc: object, *, generic: bool = True, distinct_births: boo
         if not isinstance(bar, dict) or set(bar) != {"birth", "death"}:
             raise InvalidDocument(f'bar {i} must be an object with keys "birth" and "death"', position=i)
         pairs.append((bar["birth"], bar["death"]))
-    return validate_barcode(pairs, generic=generic, distinct_births=distinct_births)
+    return validate_barcode(pairs)
 
 
 def tree_to_dict(t: Tree) -> dict:
@@ -512,31 +512,16 @@ def tree_to_dict(t: Tree) -> dict:
     raise KindMismatch(f"not a merge tree: {t!r}")
 
 
-def _document_kinds(doc: object, found: set[str]) -> None:
-    if isinstance(doc, dict):
-        if "left" in doc or "right" in doc:
-            found.add("chiral")
-        if "children" in doc:
-            found.add("unordered")
-        for v in doc.values():
-            _document_kinds(v, found)
-    elif isinstance(doc, list):
-        for v in doc:
-            _document_kinds(v, found)
-
-
 def tree_from_dict(doc: object) -> Tree:
-    """Decode a tree document; {"left","right"} keys mean chiral, "children" unordered.
+    """Decode a tree document; the root's keys pick the kind.
 
-    A document that is a single leaf decodes as a chiral leaf (the kinds
-    coincide there). Structural violations raise InvalidTree, shape problems
-    InvalidDocument.
+    A root with "children" decodes as an unordered tree, any other root
+    (including a single leaf, where the kinds coincide) as a chiral one. A
+    vertex carrying the other kind's keys is an unknown-key InvalidDocument,
+    so a document mixing the kinds is refused. Structural violations raise
+    InvalidTree, shape problems InvalidDocument.
     """
-    found: set[str] = set()
-    _document_kinds(doc, found)
-    if found == {"chiral", "unordered"}:
-        raise InvalidDocument("document mixes left/right and children vertices")
-    if found == {"unordered"}:
+    if isinstance(doc, dict) and "children" in doc:
         return _unordered_from_dict(doc)
     return _chiral_from_dict(doc)
 

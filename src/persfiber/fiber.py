@@ -30,10 +30,6 @@ from .core import (
 )
 
 
-class IndexOutOfRange(ValidationError):
-    """Finite-bar index must satisfy 2 <= j <= N."""
-
-
 class DegenerateBarcode(ValidationError):
     """A single-bar barcode has no realization with at least two minima."""
 
@@ -68,25 +64,10 @@ class ContainmentPoset:
     def less(self, j: int, k: int) -> bool:
         return (j, k) in self.relation
 
-    def up_set(self, j: int) -> set[int]:
-        return {j} | {k for (a, k) in self.relation if a == j}
 
-    def down_set(self, j: int) -> set[int]:
-        return {j} | {a for (a, k) in self.relation if k == j}
-
-
-def _check_index(b: Barcode, j: int) -> None:
-    if not 2 <= j <= b.N:
-        raise IndexOutOfRange(f"finite bar index must be in 2..{b.N}, got {j}")
-
-
-def containing_set(b: Barcode, j: int) -> set[int]:
-    """Indices of the bars whose interval strictly contains bar j."""
-    _check_index(b, j)
-    target = b.bars[j - 1]
-    return {
-        bar.index for bar in b.bars if bar.index != j and bar.strictly_contains(target)
-    }
+def _containers(b: Barcode) -> list[list[int]]:
+    """For every bar, the ascending indices of the bars strictly containing it; O(N^2)."""
+    return [[k.index for k in b.bars if k.strictly_contains(j)] for j in b.bars]
 
 
 def _choice_counts(b: Barcode) -> list[int]:
@@ -114,12 +95,6 @@ def _choice_counts(b: Barcode) -> list[int]:
     return counts
 
 
-def mu(b: Barcode, j: int) -> int:
-    """Number of bars strictly containing bar j; the j-th choice count. O(N log N)."""
-    _check_index(b, j)
-    return _choice_counts(b)[j - 1]
-
-
 def count_merge_trees(b: Barcode) -> int:
     """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N)."""
     return math.prod(_choice_counts(b)[1:])
@@ -133,8 +108,7 @@ def count_cmts(b: Barcode) -> int:
 def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
     """All plans, death-descending / parent-index / left-before-right."""
     per_bar: list[list] = []
-    for j in range(2, b.N + 1):
-        parents = sorted(containing_set(b, j))
+    for parents in _containers(b)[1:]:
         if chiral:
             per_bar.append([(k, s) for k in parents for s in ("L", "R")])
         else:
@@ -253,9 +227,9 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     check_function_realizable(b)
     choices = [
         [(b.bars[k - 1].birth, right, pair)
-         for k in containing_set(b, bar.index)
+         for k in parents
          for right, pair in ((0, (bar.birth, bar.death)), (1, (bar.death, bar.birth)))]
-        for bar in b.bars[1:]
+        for bar, parents in zip(b.bars[1:], _containers(b)[1:])
     ]
     out = []
     for combo in product(*choices):
@@ -270,30 +244,27 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
 
 def containment_poset(b: Barcode) -> ContainmentPoset:
     """Strict-containment relation among all bars; the essential bar is the top."""
-    rel = {
-        (j.index, k.index)
-        for j in b.bars
-        for k in b.bars
-        if j.index != k.index and k.strictly_contains(j)
-    }
+    rel = {(j, k) for j, ks in enumerate(_containers(b), 1) for k in ks}
     return ContainmentPoset(b.N, frozenset(rel))
 
 
-def _signature(p: ContainmentPoset, j: int) -> tuple[int, int]:
-    return (len(p.up_set(j)), len(p.down_set(j)))
+def _signatures(p: ContainmentPoset) -> dict[int, tuple[int, int]]:
+    """(bars above, bars below) of every bar, counted from the relation in O(|relation|)."""
+    above = Counter(j for j, _ in p.relation)
+    below = Counter(k for _, k in p.relation)
+    return {j: (above[j], below[j]) for j in range(1, p.n + 1)}
 
 
 def same_stratum(b1: Barcode, b2: Barcode) -> bool:
     """Whether two barcodes share a containment-poset isomorphism class.
 
-    Brute-force search over index bijections, pruned by (up-set, down-set)
-    size signatures; the essential indices must correspond.
+    Brute-force search over index bijections, pruned by (above, below)
+    count signatures; the essential indices must correspond.
     """
     p1, p2 = containment_poset(b1), containment_poset(b2)
     if p1.n != p2.n:
         return False
-    sig1 = {j: _signature(p1, j) for j in range(1, p1.n + 1)}
-    sig2 = {j: _signature(p2, j) for j in range(1, p2.n + 1)}
+    sig1, sig2 = _signatures(p1), _signatures(p2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return False
 

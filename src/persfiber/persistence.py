@@ -103,8 +103,3 @@ def rank(f: CriticalSequence, r: Height, t: Height) -> int:
     return sum(
         1 for comp in _level_components(f, t) if any(vals[i - 1] <= r for i in comp)
     )
-
-
-def graph_equivalent(f: CriticalSequence, g: CriticalSequence) -> bool:
-    """Same function up to orientation-preserving reparametrization of [0, 1]."""
-    return f.values == g.values

@@ -93,12 +93,6 @@ def forget_chirality(t: ChiralMergeTree) -> MergeTree:
     return built[0]
 
 
-def chiral_elder_map(t: ChiralMergeTree) -> Barcode:
-    """Barcode of a chiral tree: the elder rule after forgetting chirality."""
-    barcode, _ = elder_rule(forget_chirality(t))
-    return barcode
-
-
 def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
     """Left subtree, vertex, right subtree; leaves land at the odd positions."""
     if not isinstance(t, ChiralMergeTree):

@@ -11,23 +11,22 @@ from itertools import combinations_with_replacement
 import pytest
 
 from persfiber import (
-    all_functions,
     barcode_of_sequence,
-    brute_fiber,
-    canonical_form,
-    chiral_elder_map,
     cmt_to_sequence,
     count_cmts,
     count_merge_trees,
+    elder_rule,
     enumerate_cmts,
     enumerate_functions,
     enumerate_merge_trees,
     forget_chirality,
-    in_order,
     merge_tree_of_sequence,
     rank,
     validate_barcode,
 )
+from persfiber.core import canonical_form
+from persfiber.oracle import all_functions, brute_fiber
+from persfiber.trees import in_order
 
 SEED = 20260819
 
@@ -174,7 +173,7 @@ def test_criterion_6_elder_map_agreement(cmt_suite):
     corpus = small_functions()
     corpus.extend(cmt_to_sequence(t) for _, cmts in cmt_suite for t in cmts)
     ok = all(
-        barcode_of_sequence(f)[0] == chiral_elder_map(merge_tree_of_sequence(f))
+        barcode_of_sequence(f)[0] == elder_rule(forget_chirality(merge_tree_of_sequence(f)))[0]
         for f in corpus
     )
     report(6, ok, f"sweep and elder rule agree on {len(corpus)} functions")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from persfiber import barcode_from_dict, sequence_from_dict, tree_from_dict
+from persfiber.core import barcode_from_dict, sequence_from_dict, tree_from_dict
 from persfiber.cli import main
 
 FN = {"critical_values": [1, 7, 2]}
@@ -175,9 +175,9 @@ def test_count_functions_rejects_tied_births(write, capsys):
             {"birth": 2, "death": 6},
         ]
     }
-    code, _, err = run(capsys, ["count", "--functions", write(doc)])
-    assert code == 1
-    assert err.startswith("DuplicateBirth:")
+    path = write(doc)
+    for argv in (["count", "--functions"], ["enumerate", "--functions"], ["verify"]):
+        assert run(capsys, argv + [path]) == (1, "", "DuplicateBirth: bars 2 and 3 share birth 2\n")
     # the same barcode is fine when counting trees
     code, out, _ = run(capsys, ["count", "--chiral", write(doc)])
     assert (code, out) == (0, "8\n")
@@ -228,6 +228,14 @@ def test_unparseable_json_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, ["barcode", str(path)])
     assert code == 1
     assert err.startswith("JSONDecodeError:")
+
+
+def test_undecodable_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(FN).encode("utf-16-le"))
+    code, out, err = run(capsys, ["barcode", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("UnicodeDecodeError:")
 
 
 def test_rank_rejects_non_numeric_levels(write, capsys):

@@ -5,10 +5,8 @@ from enum import IntEnum
 import pytest
 
 from persfiber import (
-    Barcode,
     BarNotContainedInEssential,
     BoundaryNotMin,
-    ChiralMergeTree,
     DuplicateBirth,
     DuplicateDeath,
     DuplicateValue,
@@ -17,13 +15,18 @@ from persfiber import (
     InvalidDocument,
     InvalidTree,
     KindMismatch,
-    MergeTree,
     MultipleInfiniteBars,
     NoInfiniteBar,
     NotAlternating,
     Plateau,
     TooShort,
-    all_functions,
+    validate_barcode,
+    validate_critical_sequence,
+)
+from persfiber.core import (
+    Barcode,
+    ChiralMergeTree,
+    MergeTree,
     barcode_from_dict,
     barcode_to_dict,
     canonical_form,
@@ -33,9 +36,8 @@ from persfiber import (
     sequence_to_dict,
     tree_from_dict,
     tree_to_dict,
-    validate_barcode,
-    validate_critical_sequence,
 )
+from persfiber.oracle import all_functions
 
 
 def leaf(h):
@@ -331,5 +333,8 @@ def test_tree_document_shape_errors():
         tree_from_dict(
             {"height": 7, "left": {"height": 1}, "right": {"height": 2, "children": []}}
         )
+    chiral_vertex = {"height": 2, "left": {"height": 0}, "right": {"height": 1.5}}
+    with pytest.raises(InvalidDocument):
+        tree_from_dict({"height": 7, "children": [{"height": 1}, chiral_vertex]})
     with pytest.raises(InvalidTree):
         tree_from_dict({"height": 7, "left": {"height": 8}, "right": {"height": 1}})

@@ -4,30 +4,27 @@ import pytest
 
 from persfiber import fiber
 from persfiber import (
-    AttachmentPlan,
-    ChiralMergeTree,
     DegenerateBarcode,
     DuplicateBirth,
     DuplicateValue,
-    IndexOutOfRange,
     InvalidPlan,
-    MergeTree,
-    attachment_plans,
-    canonical_form,
-    chiral_elder_map,
-    containing_set,
-    containment_poset,
     count_cmts,
     count_merge_trees,
     elder_rule,
     enumerate_cmts,
     enumerate_functions,
     enumerate_merge_trees,
-    materialize,
-    mu,
-    same_stratum,
+    forget_chirality,
     validate_barcode,
     validate_critical_sequence,
+)
+from persfiber.core import ChiralMergeTree, MergeTree, canonical_form
+from persfiber.fiber import (
+    AttachmentPlan,
+    attachment_plans,
+    containment_poset,
+    materialize,
+    same_stratum,
 )
 
 NESTED = validate_barcode([(1, None), (2, 7), (3, 6), (4, 5)])
@@ -53,20 +50,12 @@ def random_barcode(rng, n):
 
 
 def test_containing_sets_of_nested_barcode():
-    assert containing_set(NESTED, 2) == {1}
-    assert containing_set(NESTED, 3) == {1, 2}
-    assert containing_set(NESTED, 4) == {1, 2, 3}
-
-
-def test_containing_set_index_bounds():
-    with pytest.raises(IndexOutOfRange):
-        containing_set(NESTED, 1)
-    with pytest.raises(IndexOutOfRange):
-        containing_set(NESTED, 5)
+    assert fiber._containers(NESTED) == [[], [1], [1, 2], [1, 2, 3]]
+    assert fiber._containers(validate_barcode([(1, None), (5, 7), (2, 4)])) == [[], [1], [1]]
 
 
 def test_counts_of_nested_barcode():
-    assert [mu(NESTED, j) for j in (2, 3, 4)] == [1, 2, 3]
+    assert fiber._choice_counts(NESTED) == [0, 1, 2, 3]
     assert count_merge_trees(NESTED) == 6
     assert count_cmts(NESTED) == 48
 
@@ -106,7 +95,7 @@ def test_every_plan_realizes_its_barcode():
         barcode, _ = elder_rule(tree)
         assert barcode == NESTED
     for plan in attachment_plans(NESTED, chiral=True):
-        assert chiral_elder_map(materialize(NESTED, plan)) == NESTED
+        assert elder_rule(forget_chirality(materialize(NESTED, plan)))[0] == NESTED
 
 
 # --- enumeration
@@ -161,7 +150,7 @@ def test_enumerated_trees_are_pairwise_distinct():
 
 def test_enumeration_is_sound():
     for t in enumerate_cmts(NESTED):
-        assert chiral_elder_map(t) == NESTED
+        assert elder_rule(forget_chirality(t))[0] == NESTED
     for t in enumerate_merge_trees(NESTED):
         assert elder_rule(t)[0] == NESTED
 
@@ -223,8 +212,8 @@ def test_six_bar_enumeration_matches_formula():
     cmts = enumerate_cmts(b)
     assert len(cmts) == 1152
     assert len(set(canon(cmts))) == 1152
-    assert chiral_elder_map(cmts[0]) == b
-    assert chiral_elder_map(cmts[-1]) == b
+    assert elder_rule(forget_chirality(cmts[0]))[0] == b
+    assert elder_rule(forget_chirality(cmts[-1]))[0] == b
 
 
 # --- strata
@@ -238,8 +227,6 @@ def test_containment_poset_of_nested_barcode():
     )
     assert p.less(4, 2)
     assert not p.less(2, 4)
-    assert p.up_set(4) == {1, 2, 3, 4}
-    assert p.down_set(1) == {1, 2, 3, 4}
 
 
 def test_containment_poset_of_disjoint_bars():
@@ -256,8 +243,9 @@ def test_containment_poset_of_lone_bar():
 def test_mu_counts_the_strict_up_set():
     for b in (NESTED, TWO, THREE):
         p = containment_poset(b)
-        for j in range(2, b.N + 1):
-            assert mu(b, j) == len(p.up_set(j)) - 1
+        assert fiber._choice_counts(b) == [
+            sum(p.less(j, k) for k in range(1, b.N + 1)) for j in range(1, b.N + 1)
+        ]
 
 
 def test_same_stratum_ignores_heights():

@@ -7,12 +7,11 @@ from persfiber import (
     CardinalityMismatch,
     DuplicateValue,
     ScaleCapExceeded,
-    all_functions,
-    brute_fiber,
     enumerate_functions,
     validate_barcode,
     verify,
 )
+from persfiber.oracle import all_functions, brute_fiber
 
 NESTED = validate_barcode([(1, None), (2, 7), (3, 6), (4, 5)])
 TWO = validate_barcode([(1, None), (2, 7)])

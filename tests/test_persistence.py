@@ -5,14 +5,13 @@ import pytest
 
 from persfiber import (
     BadPair,
-    all_functions,
     barcode_of_sequence,
-    graph_equivalent,
     rank,
-    reduce_breakpoints,
     validate_barcode,
     validate_critical_sequence,
 )
+from persfiber.core import reduce_breakpoints
+from persfiber.oracle import all_functions
 
 
 def seq(*values):
@@ -144,21 +143,22 @@ def test_rank_at_critical_values_uses_closed_sublevels():
     assert rank(f, 1.9, 6.9) == 1
 
 
-# --- graph equivalence
+# --- graph equivalence: same function up to orientation-preserving
+# reparametrization of [0, 1], i.e. equal critical values
 
 
 def test_graph_equivalent_examples():
-    assert graph_equivalent(seq(1, 7, 2), seq(1, 7, 2))
-    assert not graph_equivalent(seq(1, 7, 2), seq(2, 7, 1))
+    assert seq(1, 7, 2).values == seq(1, 7, 2).values
+    assert seq(1, 7, 2).values != seq(2, 7, 1).values
     a = reduce_breakpoints([(0, 1), (0.5, 7), (1, 2)])
     b = reduce_breakpoints([(0, 1), (0.25, 3), (0.5, 7), (1, 2)])
-    assert graph_equivalent(a, b)
+    assert a.values == b.values
 
 
 def test_mirror_images_are_not_graph_equivalent():
     f = seq(1, 5, 3, 6, 2, 7, 4)
     g = validate_critical_sequence(f.values[::-1])
-    assert not graph_equivalent(f, g)
+    assert f.values != g.values
     assert barcode_of_sequence(f)[0] == barcode_of_sequence(g)[0]
 
 

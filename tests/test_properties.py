@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from persfiber import (
     barcode_of_sequence,
-    brute_fiber,
     cmt_to_sequence,
-    containing_set,
     count_merge_trees,
     elder_rule,
     enumerate_cmts,
     enumerate_functions,
     forget_chirality,
     merge_tree_of_sequence,
-    mu,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -28,6 +25,8 @@ from persfiber.core import (
     TooShort,
     _require_height,
 )
+from persfiber.fiber import _choice_counts, containment_poset
+from persfiber.oracle import brute_fiber
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
@@ -59,12 +58,18 @@ def sequences(draw, max_size=41):
     return validate_critical_sequence(_wiggle(values[: len(values) - 1 + len(values) % 2]))
 
 
+def containing_set(b, j):
+    """Reference: indices of the bars strictly containing bar j, by definition."""
+    return {k.index for k in b.bars if k.strictly_contains(j)}
+
+
 @settings(deadline=None)
 @given(barcodes())
 def test_one_pass_mu_matches_containing_set(b):
-    expected = [len(containing_set(b, j)) for j in range(2, b.N + 1)]
-    assert [mu(b, j) for j in range(2, b.N + 1)] == expected
-    assert count_merge_trees(b) == math.prod(expected)
+    expected = [containing_set(b, j) for j in b.bars]
+    assert _choice_counts(b) == [len(ks) for ks in expected]
+    assert containment_poset(b).relation == {(j, k) for j, ks in enumerate(expected, 1) for k in ks}
+    assert count_merge_trees(b) == math.prod(len(ks) for ks in expected[1:])
 
 
 @settings(deadline=None)

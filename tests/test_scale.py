@@ -5,7 +5,6 @@ import pytest
 
 from persfiber import (
     barcode_of_sequence,
-    canonical_form,
     cmt_to_sequence,
     count_cmts,
     count_merge_trees,
@@ -16,6 +15,7 @@ from persfiber import (
     validate_barcode,
     validate_critical_sequence,
 )
+from persfiber.core import canonical_form
 
 K = 10**5
 

@@ -3,24 +3,24 @@ import math
 import pytest
 
 from persfiber import (
-    ChiralMergeTree,
     KindMismatch,
-    MergeTree,
     TooSmall,
-    all_functions,
     barcode_of_sequence,
-    canonical_form,
-    chiral_elder_map,
     cmt_to_sequence,
     elder_rule,
     forget_chirality,
-    in_order,
-    is_isomorphic,
     merge_tree_of_sequence,
-    to_dot,
     validate_barcode,
     validate_critical_sequence,
 )
+from persfiber.core import (
+    ChiralMergeTree,
+    MergeTree,
+    canonical_form,
+    is_isomorphic,
+)
+from persfiber.oracle import all_functions
+from persfiber.trees import in_order, to_dot
 
 C = ChiralMergeTree
 
@@ -105,14 +105,15 @@ def test_elder_decomposition_shape():
 
 
 def test_chiral_elder_map_examples():
-    assert chiral_elder_map(C(7, C(1), C(2))) == validate_barcode([(1, None), (2, 7)])
-    assert chiral_elder_map(C(7, C(2), C(1))) == validate_barcode([(1, None), (2, 7)])
-    assert chiral_elder_map(merge_tree_of_sequence(DEEP)) == barcode_of_sequence(DEEP)[0]
+    assert elder_rule(forget_chirality(C(7, C(1), C(2))))[0] == validate_barcode([(1, None), (2, 7)])
+    assert elder_rule(forget_chirality(C(7, C(2), C(1))))[0] == validate_barcode([(1, None), (2, 7)])
+    deep = elder_rule(forget_chirality(merge_tree_of_sequence(DEEP)))[0]
+    assert deep == barcode_of_sequence(DEEP)[0]
 
 
 def test_elder_rule_commutes_with_sweep():
     for f in small_corpus():
-        assert chiral_elder_map(merge_tree_of_sequence(f)) == barcode_of_sequence(f)[0]
+        assert elder_rule(forget_chirality(merge_tree_of_sequence(f)))[0] == barcode_of_sequence(f)[0]
 
 
 # --- chirality
