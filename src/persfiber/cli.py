@@ -41,7 +41,8 @@ def _parse_level(text: str) -> float:
         value = json.loads(text)
     except json.JSONDecodeError:
         raise InvalidDocument(f"not a number: {text!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # json takes NaN, which orders against nothing; +-Infinity are real levels
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise InvalidDocument(f"not a number: {text!r}")
     return value
 

@@ -1,17 +1,18 @@
 """Brute-force ground truth for the counting and enumeration machinery.
 
 all_functions and brute_fiber know nothing about attachment plans or
-counting formulas: they generate every alternating arrangement of the given
-values, keep the ones the sequence validator accepts, and group them by
+counting formulas: they generate only the alternating arrangements of the
+given values, pass each through the sequence validator, and group them by
 sweep barcode. verify() is the one place both routes meet. It generates the
-candidates once, sweeps each of them once, and reports the formula, the plan
-enumeration and the brute force side by side; its partition check compares
-the size of every fiber that arises from b's critical values with the
-counting formula.
+candidates once, sweeps each of them once, builds one barcode per group, and
+reports the formula, the plan enumeration and the brute force side by side;
+its partition check compares the size of every fiber that arises from b's
+critical values with the counting formula.
 """
 from __future__ import annotations
 
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable
 
 from . import fiber
@@ -22,12 +23,13 @@ from .core import (
     Height,
     ValidationError,
     canonical_form,
+    validate_barcode,
     validate_critical_sequence,
 )
-from .persistence import barcode_of_sequence
+from .persistence import _raw_bars
 from .trees import forget_chirality
 
-MAX_MINIMA = 6  # 6! * 5! = 86_400 candidates; beyond that brute force stops being quick
+MAX_MINIMA = 6  # at most 6! * 5! = 86_400 candidates; beyond that brute force stops being quick
 
 
 class CardinalityMismatch(ValidationError):
@@ -41,8 +43,10 @@ class ScaleCapExceeded(ValidationError):
 def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[CriticalSequence]:
     """Every valid critical sequence using the given values, sorted.
 
-    Tries all |minima|! * |maxima|! interleavings and keeps the ones that
-    pass the sequence validator.
+    For each order pm of the minima, maximum slot i needs a value above
+    pm[i] and pm[i + 1]. Filled from the most demanding slot down, each slot
+    takes one of the maxima above its need less those already placed, so the
+    choices form a mixed-radix product of only the alternating interleavings.
     """
     mins = tuple(sorted(minima))
     maxs = tuple(sorted(maxima))
@@ -55,24 +59,30 @@ def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[Cr
     pool = list(mins) + list(maxs)
     if len(set(pool)) != len(pool):
         raise DuplicateValue("minima and maxima must be pairwise distinct overall")
-    out = []
+    raws: list[tuple[Height, ...]] = []
     for pm in permutations(mins):
-        for px in permutations(maxs):
-            vals = [None] * (len(pm) + len(px))
-            vals[0::2] = pm
-            vals[1::2] = px
-            if all(px[i] > pm[i] and px[i] > pm[i + 1] for i in range(len(px))):
-                out.append(validate_critical_sequence(vals))
-    out.sort(key=lambda s: s.values)
-    return out
+        order = sorted(range(len(maxs)), key=lambda i: max(pm[i], pm[i + 1]), reverse=True)
+        placed: list[tuple[Height, ...]] = [()]  # maxima chosen so far, in `order`
+        for slot in order:
+            above = [x for x in maxs if x > pm[slot] and x > pm[slot + 1]]
+            placed = [p + (x,) for p in placed for x in above if x not in p]
+        # the sequence interleaves pm with p, whose maxima are listed in `order`
+        at = [i // 2 if i % 2 == 0 else len(pm) + order.index(i // 2) for i in range(len(pool))]
+        raws += map(itemgetter(*at), (pm + p for p in placed))
+    raws.sort()
+    return [validate_critical_sequence(v) for v in raws]
 
 
 def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
-    """all_functions(minima, maxima) grouped by sweep barcode, in one pass."""
-    groups: dict[Barcode, list[CriticalSequence]] = {}
+    """all_functions(minima, maxima) grouped by sweep barcode, in one pass.
+
+    The key is the sweep's raw (birth, death) pairs, whose closing order is
+    canonical; each group's Barcode is built and validated once, afterwards.
+    """
+    groups: dict[tuple[tuple[Height, Height], ...], list[CriticalSequence]] = {}
     for f in all_functions(minima, maxima):
-        groups.setdefault(barcode_of_sequence(f)[0], []).append(f)
-    return groups
+        groups.setdefault(tuple([(b, d) for b, _, d in _raw_bars(f)]), []).append(f)
+    return {validate_barcode(key): fs for key, fs in groups.items()}
 
 
 def brute_fiber(b: Barcode) -> list[CriticalSequence]:

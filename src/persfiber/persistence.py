@@ -52,14 +52,12 @@ def _sweep(f: CriticalSequence, leaf: Callable[[Height, int], T], join: Callable
     return value[1]
 
 
-def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
-    """Sweep f bottom to top; return its barcode and which minimum owns which bar.
+def _raw_bars(f: CriticalSequence) -> list[tuple[Height, int, Height]]:
+    """f's bars as (birth, birth position, death), in the order the sweep closes them.
 
-    The second value maps the 1-based sequence position of each local minimum
-    to the 1-based index of its bar in the sorted barcode. The minimum that
-    opened the surviving component owns the infinite bar. O(n log n).
+    That is ascending death, the essential bar last: canonical, as f's values are distinct.
     """
-    raw: list[tuple[Height, int, Height]] = []  # (birth, birth_pos, death)
+    raw: list[tuple[Height, int, Height]] = []
 
     def join(y: Height, left: tuple[Height, int], right: tuple[Height, int]) -> tuple[Height, int]:
         elder, younger = (left, right) if left < right else (right, left)
@@ -67,6 +65,17 @@ def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
         return elder
 
     raw.append((*_sweep(f, lambda y, pos: (y, pos), join), math.inf))
+    return raw
+
+
+def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
+    """Sweep f bottom to top; return its barcode and which minimum owns which bar.
+
+    The second value maps the 1-based sequence position of each local minimum
+    to the 1-based index of its bar in the sorted barcode. The minimum that
+    opened the surviving component owns the infinite bar. O(n log n).
+    """
+    raw = _raw_bars(f)
     barcode = validate_barcode((b, d) for b, _, d in raw)
     index_of_birth = {bar.birth: bar.index for bar in barcode.bars}
     return barcode, {pos: index_of_birth[b] for b, pos, _ in raw}

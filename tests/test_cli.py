@@ -242,6 +242,15 @@ def test_rank_rejects_non_numeric_levels(write, capsys):
     code, _, err = run(capsys, ["rank", write(FN), "--r", "low", "--t", "5"])
     assert code == 1
     assert err.startswith("InvalidDocument:")
+    for levels in (["--r", "NaN", "--t", "5"], ["--r", "1", "--t", "NaN"]):
+        code, _, err = run(capsys, ["rank", write(FN), *levels])
+        assert code == 1
+        assert err.strip() == "InvalidDocument: not a number: 'NaN'"
+
+
+def test_rank_takes_infinite_levels(write, capsys):
+    assert run(capsys, ["rank", write(FN), "--r=-Infinity", "--t", "Infinity"]) == (0, "0\n", "")
+    assert run(capsys, ["rank", write(FN), "--r", "1", "--t", "Infinity"]) == (0, "1\n", "")
 
 
 def test_usage_errors_exit_two(capsys):

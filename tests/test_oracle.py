@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+import persfiber.core as core
 import persfiber.oracle as oracle
 from persfiber import (
     CardinalityMismatch,
@@ -180,3 +182,39 @@ def test_verify_refuses_before_building_trees(monkeypatch):
     monkeypatch.setattr(oracle.fiber, "enumerate_merge_trees", fail)
     with pytest.raises(ScaleCapExceeded):
         verify(nested(7))
+
+
+def test_verify_builds_one_barcode_per_fiber(monkeypatch):
+    b = nested(5)
+    candidates = len(all_functions(b.births, b.finite_deaths))
+    fibers = len(oracle._fibers(b.births, b.finite_deaths))
+    calls = {"validate_critical_sequence": 0, "validate_barcode": 0}
+    for name in calls:
+        original = getattr(core, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # rebind every module-level name of the validator, wherever it was imported
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "persfiber"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert verify(nested(5))["partition_check"]
+    assert calls["validate_critical_sequence"] == candidates
+    assert calls["validate_barcode"] <= fibers + 1  # plus the input, built by nested(5)
+
+
+def _names(code):
+    """Global and attribute names used by a function's code, nested code included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_brute_force_never_consults_plans_or_the_formula():
+    for fn in (oracle.all_functions, oracle._fibers, oracle.brute_fiber):
+        assert "fiber" not in _names(fn.__code__), fn.__name__

@@ -1,6 +1,7 @@
-"""Property tests: the one-pass choice counts, the sweep, the enumerators and the validator against their references."""
+"""Property tests: the one-pass choice counts, the sweep, the enumerators, the validator and the oracle against their references."""
 import math
 from enum import IntEnum
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from persfiber.core import (
     _require_height,
 )
 from persfiber.fiber import _choice_counts, containment_poset
-from persfiber.oracle import brute_fiber
+from persfiber.oracle import _fibers, all_functions, brute_fiber
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
@@ -179,3 +180,60 @@ def _outcome(validate, values):
 @given(near_critical_values())
 def test_bulk_validator_matches_reference(values):
     assert _outcome(validate_critical_sequence, values) == _outcome(_reference_validate, values)
+
+
+def _reference_all_functions(minima, maxima):
+    """The filter over every interleaving that all_functions replaced, kept as the reference."""
+    mins = tuple(sorted(minima))
+    maxs = tuple(sorted(maxima))
+    out = []
+    for pm in permutations(mins):
+        for px in permutations(maxs):
+            vals = [None] * (len(pm) + len(px))
+            vals[0::2] = pm
+            vals[1::2] = px
+            if all(px[i] > pm[i] and px[i] > pm[i + 1] for i in range(len(px))):
+                out.append(validate_critical_sequence(vals))
+    out.sort(key=lambda s: s.values)
+    return out
+
+
+@st.composite
+def critical_values(draw):
+    """k = 2..5 minima and k - 1 maxima, ints and floats mixed, pairwise distinct.
+
+    Half the draws put the k lowest values at the minima, so every
+    interleaving alternates; the other half split the values at random, which
+    often leaves no alternating arrangement at all.
+    """
+    k = draw(st.integers(2, 5))
+    values = draw(st.lists(heights, min_size=2 * k - 1, max_size=2 * k - 1, unique=True))
+    if draw(st.booleans()):
+        values.sort()
+    return values[:k], values[k:]
+
+
+def _typed(functions):
+    return [[(type(v), v) for v in f.values] for f in functions]
+
+
+def _typed_bars(b):
+    return [(type(h), h) for bar in b.bars for h in (bar.birth, bar.death)]
+
+
+@settings(deadline=None)
+@given(critical_values())
+def test_all_functions_matches_the_interleaving_filter(split):
+    assert _typed(all_functions(*split)) == _typed(_reference_all_functions(*split))
+
+
+@settings(deadline=None)
+@given(critical_values())
+def test_fibers_match_grouping_by_sweep_barcode(split):
+    expected = {}
+    for f in all_functions(*split):
+        expected.setdefault(barcode_of_sequence(f)[0], []).append(f)
+    groups = _fibers(*split)
+    assert list(groups) == list(expected)
+    assert [_typed(fs) for fs in groups.values()] == [_typed(fs) for fs in expected.values()]
+    assert [_typed_bars(b) for b in groups] == [_typed_bars(b) for b in expected]
