@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Height = Union[int, float]
 
@@ -350,8 +350,22 @@ def validate_barcode(
 # merge trees
 
 
+class _Walks:
+    """Pre-order iteration shared by both tree kinds, through their `children`."""
+
+    def vertices(self) -> Iterator["Tree"]:
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def leaves(self) -> Iterator["Tree"]:
+        return (v for v in self.vertices() if v.is_leaf)
+
+
 @dataclass(frozen=True)
-class MergeTree:
+class MergeTree(_Walks):
     """Rooted full binary merge tree; the order of `children` carries no meaning.
 
     The root's unbounded upward edge is implicit. Every vertex sits strictly
@@ -375,19 +389,9 @@ class MergeTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def vertices(self) -> Iterator["MergeTree"]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def leaves(self) -> Iterator["MergeTree"]:
-        return (v for v in self.vertices() if v.is_leaf)
-
 
 @dataclass(frozen=True)
-class ChiralMergeTree:
+class ChiralMergeTree(_Walks):
     """Merge tree with a left/right order on the children of every vertex."""
 
     height: Height
@@ -407,21 +411,43 @@ class ChiralMergeTree:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def vertices(self) -> Iterator["ChiralMergeTree"]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack += (node.right, node.left)
-
-    def leaves(self) -> Iterator["ChiralMergeTree"]:
-        return (v for v in self.vertices() if v.is_leaf)
+    @property
+    def children(self) -> tuple["ChiralMergeTree", ...]:
+        """() for a leaf, else (left, right)."""
+        return () if self.left is None else (self.left, self.right)
 
 
 Tree = Union[MergeTree, ChiralMergeTree]
 
 CanonicalEncoding = str
+
+
+def _fold(root: object, kids: Callable, leaf: Callable, join: Callable):
+    """Fold a binary tree bottom-up with an explicit stack, so at any depth.
+
+    The order is that of recursion: vertices are entered in pre-order, left
+    subtree first. On entry kids(v) gives () for a leaf, whose value is then
+    leaf(v), or (left, right); once both subtrees are done the vertex's value
+    is join(v, left value, right value). Returns the root's value.
+    """
+    done: list = []  # values of the finished subtrees, the right one on top
+    stack = [root]  # join itself marks a vertex whose two subtrees are done
+    while stack:
+        v = stack.pop()
+        if v is join:
+            right = done.pop()
+            done[-1] = join(stack.pop(), done[-1], right)
+            continue
+        children = kids(v)
+        if children:
+            left, right = children
+            stack += (v, join, right, left)
+        else:
+            done.append(leaf(v))
+    return done[0]
+
+
+_children = operator.attrgetter("children")
 
 
 def canonical_form(tree: Tree) -> CanonicalEncoding:
@@ -434,21 +460,13 @@ def canonical_form(tree: Tree) -> CanonicalEncoding:
     if not isinstance(tree, (MergeTree, ChiralMergeTree)):
         raise KindMismatch(f"not a merge tree: {tree!r}")
     chiral = isinstance(tree, ChiralMergeTree)
-    done: list[tuple[Height, str]] = []  # finished subtrees, the left one on top
-    stack: list = [tree]  # None marks a vertex whose two subtrees are done
-    while stack:
-        node = stack.pop()
-        if node is None:
-            node = stack.pop()
-            first, second = done.pop(), done.pop()
-            if not chiral and second < first:
-                first, second = second, first
-            done.append((node.height, f"({height_token(node.height)} {first[1]} {second[1]})"))
-        elif node.is_leaf:
-            done.append((node.height, f"({height_token(node.height)})"))
-        else:
-            stack += (node, None, *((node.left, node.right) if chiral else node.children))
-    return done[0][1]
+
+    def join(v: Tree, first: tuple, second: tuple) -> tuple[Height, str]:
+        if not chiral and second < first:
+            first, second = second, first
+        return v.height, f"({height_token(v.height)} {first[1]} {second[1]})"
+
+    return _fold(tree, _children, lambda v: (v.height, f"({height_token(v.height)})"), join)[1]
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -502,14 +520,12 @@ def barcode_from_dict(doc: object) -> Barcode:
 
 def tree_to_dict(t: Tree) -> dict:
     if isinstance(t, ChiralMergeTree):
-        if t.is_leaf:
-            return {"height": t.height}
-        return {"height": t.height, "left": tree_to_dict(t.left), "right": tree_to_dict(t.right)}
-    if isinstance(t, MergeTree):
-        if t.is_leaf:
-            return {"height": t.height}
-        return {"height": t.height, "children": [tree_to_dict(c) for c in t.children]}
-    raise KindMismatch(f"not a merge tree: {t!r}")
+        join = lambda v, left, right: {"height": v.height, "left": left, "right": right}
+    elif isinstance(t, MergeTree):
+        join = lambda v, left, right: {"height": v.height, "children": [left, right]}
+    else:
+        raise KindMismatch(f"not a merge tree: {t!r}")
+    return _fold(t, _children, lambda v: {"height": v.height}, join)
 
 
 def tree_from_dict(doc: object) -> Tree:
@@ -522,11 +538,13 @@ def tree_from_dict(doc: object) -> Tree:
     InvalidTree, shape problems InvalidDocument.
     """
     if isinstance(doc, dict) and "children" in doc:
-        return _unordered_from_dict(doc)
-    return _chiral_from_dict(doc)
+        return _fold(doc, _unordered_kids, lambda d: MergeTree(d["height"]),
+                     lambda d, left, right: MergeTree(d["height"], (left, right)))
+    return _fold(doc, _chiral_kids, lambda d: ChiralMergeTree(d["height"]),
+                 lambda d, left, right: ChiralMergeTree(d["height"], left, right))
 
 
-def _check_vertex(doc: object, allowed: set[str]) -> Height:
+def _check_vertex(doc: object, allowed: set[str]) -> None:
     if not isinstance(doc, dict):
         raise InvalidDocument(f"tree vertex must be an object, got {doc!r}")
     if "height" not in doc:
@@ -534,23 +552,21 @@ def _check_vertex(doc: object, allowed: set[str]) -> Height:
     extra = set(doc) - allowed
     if extra:
         raise InvalidDocument(f"tree vertex carries unknown keys {sorted(extra)}")
-    return _require_height(doc["height"], where="tree height")
+    _require_height(doc["height"], where="tree height")
 
 
-def _chiral_from_dict(doc: object) -> ChiralMergeTree:
-    h = _check_vertex(doc, {"height", "left", "right"})
+def _chiral_kids(doc: object) -> tuple:
+    _check_vertex(doc, {"height", "left", "right"})
     if ("left" in doc) != ("right" in doc):
         raise InvalidDocument('chiral vertex must carry both "left" and "right" or neither')
-    if "left" not in doc:
-        return ChiralMergeTree(h)
-    return ChiralMergeTree(h, _chiral_from_dict(doc["left"]), _chiral_from_dict(doc["right"]))
+    return (doc["left"], doc["right"]) if "left" in doc else ()
 
 
-def _unordered_from_dict(doc: object) -> MergeTree:
-    h = _check_vertex(doc, {"height", "children"})
+def _unordered_kids(doc: object) -> list:
+    _check_vertex(doc, {"height", "children"})
     kids = doc.get("children", [])
     if not isinstance(kids, list):
         raise InvalidDocument('"children" must be an array')
     if len(kids) not in (0, 2):
         raise InvalidDocument(f"a vertex has 0 or 2 children, got {len(kids)}")
-    return MergeTree(h, tuple(_unordered_from_dict(k) for k in kids))
+    return kids

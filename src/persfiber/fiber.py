@@ -15,17 +15,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .core import (
     Barcode,
     ChiralMergeTree,
     CriticalSequence,
-    DuplicateBirth,
     DuplicateValue,
     MergeTree,
     Tree,
     ValidationError,
     canonical_form,
+    validate_barcode,
     validate_critical_sequence,
 )
 
@@ -193,23 +194,18 @@ def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
 
 
 def check_function_realizable(b: Barcode) -> None:
-    """Raise unless b has two bars or more, distinct births, and no death equal to a birth.
+    """Raise unless b is generic with two bars or more, distinct births, and no death equal to a birth.
 
     Exactly those barcodes are realized by functions with pairwise distinct
     critical values; count and enumerate --functions share this rule.
     """
     if b.N < 2:
         raise DegenerateBarcode("a single-bar barcode has no piecewise-linear realization")
-    seen: dict = {}
-    for j, bar in enumerate(b.bars, 1):
-        if bar.birth in seen:
-            raise DuplicateBirth(
-                f"bars {seen[bar.birth]} and {j} share birth {bar.birth!r}", position=j
-            )
-        seen[bar.birth] = j
+    validate_barcode(b.bars, distinct_births=True)
+    bar_of_birth = {bar.birth: j for j, bar in enumerate(b.bars, 1)}
     for d in b.finite_deaths:
-        if d in seen:
-            raise DuplicateValue(f"death {d!r} collides with the birth of bar {seen[d]}")
+        if d in bar_of_birth:
+            raise DuplicateValue(f"death {d!r} collides with the birth of bar {bar_of_birth[d]}")
 
 
 def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
@@ -271,25 +267,22 @@ def same_stratum(b1: Barcode, b2: Barcode) -> bool:
     assigned: dict[int, int] = {1: 1}
     used = {1}
 
-    def extend(j: int) -> bool:
-        if j > p1.n:
-            return True
-        for cand in range(2, p2.n + 1):
-            if cand in used or sig2[cand] != sig1[j]:
-                continue
-            ok = all(
-                p1.less(j, other) == p2.less(cand, img)
-                and p1.less(other, j) == p2.less(img, cand)
-                for other, img in assigned.items()
-            )
-            if not ok:
-                continue
+    def images(j: int) -> Iterator[int]:
+        """The unused bars of b2 that bar j of b1 can map to, given the bars assigned before it."""
+        return (c for c in range(2, p2.n + 1) if c not in used and sig2[c] == sig1[j] and all(
+            p1.less(j, other) == p2.less(c, img) and p1.less(other, j) == p2.less(img, c)
+            for other, img in assigned.items()))
+
+    # Backtracking on a stack: tries[-1] yields the images left for bar len(tries) + 1.
+    tries = [images(2)]
+    while 0 < len(tries) < p1.n:
+        j = len(tries) + 1
+        cand = next(tries[-1], None)
+        if cand is None:
+            tries.pop()
+            used.discard(assigned.pop(j - 1))
+        else:
             assigned[j] = cand
             used.add(cand)
-            if extend(j + 1):
-                return True
-            del assigned[j]
-            used.discard(cand)
-        return False
-
-    return extend(2)
+            tries.append(images(j + 1))
+    return bool(tries)

@@ -10,7 +10,9 @@ makes function reconstruction possible. Walks use explicit stacks, in O(n).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import count
 
 from .core import (
     Barcode,
@@ -22,6 +24,8 @@ from .core import (
     MergeTree,
     Tree,
     ValidationError,
+    _children,
+    _fold,
     height_token,
     validate_barcode,
     validate_critical_sequence,
@@ -62,17 +66,15 @@ def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:
         raise KindMismatch(f"elder_rule takes an unordered MergeTree, got {type(t).__name__}")
     raw: list[tuple[Height, Height]] = []
     survivor: dict[Height, Height] = {}
-    minima: list[Height] = []  # smallest leaf of each finished subtree
-    # Reversed pre-order reaches every vertex after all of its descendants.
-    for node in reversed(list(t.vertices())):
-        if node.is_leaf:
-            minima.append(node.height)
-            continue
-        elder, younger = sorted((minima.pop(), minima.pop()))
-        raw.append((younger, node.height))
-        survivor[node.height] = elder
-        minima.append(elder)
-    raw.append((minima.pop(), math.inf))
+
+    # A subtree's value is its smallest leaf; at v the larger of the two dies.
+    def join(v: MergeTree, left: Height, right: Height) -> Height:
+        elder, younger = sorted((left, right))
+        raw.append((younger, v.height))
+        survivor[v.height] = elder
+        return elder
+
+    raw.append((_fold(t, _children, operator.attrgetter("height"), join), math.inf))
     barcode = validate_barcode(raw, generic=True)
     bar_of_birth = {bar.birth: bar for bar in barcode.bars}
     leaf_to_bar = {leaf.height: bar_of_birth[leaf.height] for leaf in t.leaves()}
@@ -83,14 +85,8 @@ def forget_chirality(t: ChiralMergeTree) -> MergeTree:
     """Drop the left/right order, keeping heights and adjacency."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"forget_chirality takes a ChiralMergeTree, got {type(t).__name__}")
-    built: list[MergeTree] = []  # copies of the finished subtrees, left one on top
-    for node in reversed(list(t.vertices())):
-        if node.is_leaf:
-            built.append(MergeTree(node.height))
-        else:
-            left = built.pop()
-            built[-1] = MergeTree(node.height, (left, built[-1]))
-    return built[0]
+    return _fold(t, _children, lambda v: MergeTree(v.height),
+                 lambda v, left, right: MergeTree(v.height, (left, right)))
 
 
 def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
@@ -126,34 +122,24 @@ def to_dot(t: Tree) -> str:
     Chiral trees pin the child order with invisible same-rank edges so the
     drawing is faithful to the chirality.
     """
-    lines = ["digraph mergetree {", "  node [shape=circle];"]
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        name = f"v{counter}"
-        counter += 1
-        return name
-
-    def walk(node: Tree) -> str:
-        name = fresh()
-        lines.append(f'  {name} [label="{height_token(node.height)}"];')
-        kids = (node.left, node.right) if isinstance(node, ChiralMergeTree) else node.children
-        kid_names = []
-        for kid in kids:
-            if kid is None:
-                continue
-            kid_names.append(walk(kid))
-        for kn in kid_names:
-            lines.append(f"  {name} -> {kn};")
-        if isinstance(node, ChiralMergeTree) and len(kid_names) == 2:
-            lines.append(
-                f"  {{ rank=same; {kid_names[0]} -> {kid_names[1]} [style=invis]; }}"
-            )
-        return name
-
     if not isinstance(t, (MergeTree, ChiralMergeTree)):
         raise KindMismatch(f"not a merge tree: {t!r}")
-    walk(t)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    chiral = isinstance(t, ChiralMergeTree)
+    lines = ["digraph mergetree {", "  node [shape=circle];"]
+    names = map("v{}".format, count())
+    entered: list[str] = []  # names of the vertices entered and not yet joined
+
+    def kids(v: Tree) -> tuple:
+        entered.append(next(names))
+        lines.append(f'  {entered[-1]} [label="{height_token(v.height)}"];')
+        return v.children
+
+    def join(v: Tree, left: str, right: str) -> str:
+        name = entered.pop()
+        lines.extend((f"  {name} -> {left};", f"  {name} -> {right};"))
+        if chiral:
+            lines.append(f"  {{ rank=same; {left} -> {right} [style=invis]; }}")
+        return name
+
+    _fold(t, kids, lambda v: entered.pop(), join)
+    return "\n".join(lines) + "\n}\n"

@@ -253,6 +253,15 @@ def test_rank_takes_infinite_levels(write, capsys):
     assert run(capsys, ["rank", write(FN), "--r", "1", "--t", "Infinity"]) == (0, "1\n", "")
 
 
+@pytest.mark.parametrize("level, rank", [("-Infinity", "0"), ("-1e3", "1"), ("-3", "1")])
+def test_rank_takes_negative_levels_after_a_space(write, capsys, level, rank):
+    path = write({"critical_values": [-1000, 7, -2]})
+    assert run(capsys, ["rank", path, "--r", level, "--t", "5"]) == (0, f"{rank}\n", "")
+    assert run(capsys, ["rank", path, "--t", "5", "--r", level]) == (0, f"{rank}\n", "")
+    assert run(capsys, ["rank", path, "--r", level, "--t", level]) == (0, f"{rank}\n", "")
+    assert run(capsys, ["rank", path, "--r", level, "--t", "5"]) == run(capsys, ["rank", path, f"--r={level}", "--t=5"])
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -15,7 +15,9 @@ from persfiber import (
     validate_barcode,
     validate_critical_sequence,
 )
-from persfiber.core import canonical_form
+from persfiber.core import canonical_form, tree_from_dict, tree_to_dict
+from persfiber.fiber import same_stratum
+from persfiber.trees import to_dot
 
 K = 10**5
 
@@ -41,10 +43,33 @@ def test_forward_round_trip_on_deep_zigzag(mirrored):
     assert count_cmts(barcode) == 2 ** (K - 1)
 
 
+def preorder(t):
+    """(height, leaf?) of every vertex in pre-order: it pins the tree down, and unlike == it does not recurse."""
+    return [(v.height, v.is_leaf) for v in t.vertices()]
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["zigzag", "mirrored"])
+def test_tree_documents_and_dot_of_deep_zigzag(mirrored):
+    values = zigzag(K)
+    t = merge_tree_of_sequence(validate_critical_sequence(values[::-1] if mirrored else values))
+    for tree in (t, forget_chirality(t)):
+        back = tree_from_dict(tree_to_dict(tree))
+        assert type(back) is type(tree)
+        assert preorder(back) == preorder(tree)
+        assert to_dot(tree).count("[label=") == 2 * K - 1
+
+
 def test_count_of_large_nested_barcode():
     n = 20000
     nested = validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
     assert count_merge_trees(nested) == math.factorial(n - 1)
+
+
+def test_same_stratum_of_large_nested_barcode():
+    # One bar per search level: the search is 1,199 bars deep.
+    n = 1200
+    nested = validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
+    assert same_stratum(nested, nested)
 
 
 def test_enumerate_merge_trees_of_deep_zigzag():
