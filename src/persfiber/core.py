@@ -351,7 +351,11 @@ def validate_barcode(
 
 
 class _Walks:
-    """Pre-order iteration shared by both tree kinds, through their `children`."""
+    """Pre-order walks, ==, hash and repr shared by both tree kinds, through their `children`.
+
+    The dataclass-generated __eq__, __hash__ and __repr__ recurse once per
+    level; these do not, so they work at any depth.
+    """
 
     def vertices(self) -> Iterator["Tree"]:
         stack = [self]
@@ -363,8 +367,35 @@ class _Walks:
     def leaves(self) -> Iterator["Tree"]:
         return (v for v in self.vertices() if v.is_leaf)
 
+    def _listing(self) -> Iterator[tuple]:
+        """(class, height, leaf?) of every vertex in pre-order; no listing is a proper prefix of another."""
+        return ((v.__class__, v.height, v.is_leaf) for v in self.vertices())
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(operator.eq, self._listing(), other._listing()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._listing()))
+
+    def __repr__(self) -> str:
+        """The dataclass text, as one token list joined once; nested f-strings would be quadratic in depth."""
+        out: list[str] = []
+        stack: list = [self]  # vertices still to print, and the text that goes between and after subtrees
+        while stack:
+            v = stack.pop()
+            if type(v) is str:
+                out.append(v)
+                continue
+            leaf_tail, opening, middle, closing = v._REPR
+            out += (v.__class__.__qualname__, "(height=", repr(v.height), leaf_tail if v.is_leaf else opening)
+            if not v.is_leaf:
+                stack += (closing, v.children[1], middle, v.children[0])
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class MergeTree(_Walks):
     """Rooted full binary merge tree; the order of `children` carries no meaning.
 
@@ -375,6 +406,7 @@ class MergeTree(_Walks):
 
     height: Height
     children: tuple["MergeTree", ...] = ()
+    _REPR = (", children=())", ", children=(", ", ", "))")  # leaf tail; around and between children
 
     def __post_init__(self):
         if len(self.children) not in (0, 2):
@@ -390,13 +422,14 @@ class MergeTree(_Walks):
         return not self.children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ChiralMergeTree(_Walks):
     """Merge tree with a left/right order on the children of every vertex."""
 
     height: Height
     left: "ChiralMergeTree | None" = None
     right: "ChiralMergeTree | None" = None
+    _REPR = (", left=None, right=None)", ", left=", ", right=", ")")
 
     def __post_init__(self):
         if (self.left is None) != (self.right is None):

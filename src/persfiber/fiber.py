@@ -7,7 +7,9 @@ chiral plans also pick the side. Multiplying the choice counts gives the
 number of merge trees, and one factor of two per finite bar the number of
 chiral ones. The tree enumerators materialize every plan and sort the
 trees by canonical form. Functions are written straight from the choices,
-with no tree built, and sorted by their critical values.
+with no tree built, one bar at a time: a prefix shared by many functions is
+built once, so the build costs O(N) per function. They are then sorted by
+their critical values.
 """
 from __future__ import annotations
 
@@ -108,21 +110,12 @@ def count_cmts(b: Barcode) -> int:
 
 def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
     """All plans, death-descending / parent-index / left-before-right."""
-    per_bar: list[list] = []
-    for parents in _containers(b)[1:]:
-        if chiral:
-            per_bar.append([(k, s) for k in parents for s in ("L", "R")])
-        else:
-            per_bar.append(parents)
-    plans = []
-    for combo in product(*per_bar):
-        if chiral:
-            plans.append(
-                AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo))
-            )
-        else:
-            plans.append(AttachmentPlan(tuple(combo)))
-    return plans
+    containers = _containers(b)[1:]
+    if not chiral:
+        return [AttachmentPlan(parents) for parents in product(*containers)]
+    per_bar = [[(k, s) for k in parents for s in ("L", "R")] for parents in containers]
+    return [AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo))
+            for combo in product(*per_bar)]
 
 
 def _check_plan(b: Barcode, plan: AttachmentPlan) -> None:
@@ -216,26 +209,21 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     bar j on side L of bar k inserts (b_j, d_j) just left of b_k, on side R
     (d_j, b_j) just right of it. A later bar dies lower, so it lands next to
     its own parent's birth, inside the subtree materialize would hang it in.
-    Each result costs N searches and inserts in a list of at most 2N - 1
-    values. The raw tuples are sorted, then each is validated as a critical
-    sequence.
+    The sequences grow one bar at a time, each level extending every prefix
+    of the level before by every choice of the next bar, so a prefix shared
+    by many results is built once. A level has at least twice the entries of
+    the one before, so the build costs O(N) per result. The raw tuples are
+    sorted, then each is validated as a critical sequence.
     """
     check_function_realizable(b)
-    choices = [
-        [(b.bars[k - 1].birth, right, pair)
-         for k in parents
-         for right, pair in ((0, (bar.birth, bar.death)), (1, (bar.death, bar.birth)))]
-        for bar, parents in zip(b.bars[1:], _containers(b)[1:])
-    ]
-    out = []
-    for combo in product(*choices):
-        seq = [b.bars[0].birth]
-        for parent_birth, right, pair in combo:
-            i = seq.index(parent_birth) + right
-            seq[i:i] = pair
-        out.append(tuple(seq))
-    out.sort()
-    return [validate_critical_sequence(seq) for seq in out]
+    level = [(b.bars[0].birth,)]
+    for bar, parents in zip(b.bars[1:], _containers(b)[1:]):
+        left, right = (bar.birth, bar.death), (bar.death, bar.birth)
+        births = [b.bars[k - 1].birth for k in parents]
+        level = [grown for seq in level for i in map(seq.index, births)
+                 for grown in (seq[:i] + left + seq[i:], seq[:i + 1] + right + seq[i + 1:])]
+    level.sort()
+    return [validate_critical_sequence(seq) for seq in level]
 
 
 def containment_poset(b: Barcode) -> ContainmentPoset:

@@ -1,16 +1,17 @@
 """Degree-0 persistence of a critical sequence by direct sublevel sweep.
 
-The sweep takes critical values in ascending order. A live component of the
-sublevel set covers positions lo..hi and is keyed by both ends, so a maximum
-at p joins the components ending at p - 1 and starting at p + 1 in O(1); the
-younger (larger birth) dies. The sort makes it O(n log n); it also builds the
-merge tree. The rank function simulates the sublevel sets themselves,
-independently of any barcode, so the two can be played against each other.
+Every minimum lies below both of its neighbouring maxima, so the sweep opens
+all minima first and then takes only the maxima in ascending order. A live
+component of the sublevel set covers positions lo..hi, and either end maps to
+the other, so a maximum at p joins the components ending at p - 1 and
+starting at p + 1 in O(1); the younger (larger birth) dies. The sort of the
+maxima makes it O(n log n); the same sweep also builds the merge tree. The
+rank function simulates the sublevel sets themselves, independently of any
+barcode, so the two can be played against each other.
 """
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Callable, TypeVar
 
 from .core import (
@@ -32,24 +33,19 @@ class BadPair(ValidationError):
 def _sweep(f: CriticalSequence, leaf: Callable[[Height, int], T], join: Callable[[Height, T, T], T]) -> T:
     """Fold the sublevel components of f bottom-up; return the last one's value.
 
-    The minimum y at position pos opens a component valued leaf(y, pos); the
-    maximum y joins the components left and right of it into one valued
-    join(y, left value, right value).
+    Every minimum lies below both neighbouring maxima, so each minimum y at
+    position pos first opens a component valued leaf(y, pos). Then, lowest
+    first, the maximum y joins the components left and right of it into one
+    valued join(y, left value, right value).
     """
-    hi_of: dict[int, int] = {}  # lo -> hi of every live component
-    lo_of: dict[int, int] = {}  # hi -> lo of every live component
-    value: dict[int, T] = {}    # lo -> value of every live component
-    for pos, y in sorted(enumerate(f.values, 1), key=itemgetter(1)):
-        if pos % 2:
-            lo = hi = pos
-            value[pos] = leaf(y, pos)
-        else:
-            lo = lo_of.pop(pos - 1)
-            hi = hi_of.pop(pos + 1)
-            value[lo] = join(y, value[lo], value.pop(pos + 1))
-        hi_of[lo] = hi
-        lo_of[hi] = lo
-    return value[1]
+    values = f.values
+    end = list(range(len(values)))  # either end of a live component -> its other end (0-based)
+    value = [leaf(y, i + 1) if i % 2 == 0 else None for i, y in enumerate(values)]  # by left end
+    for i in sorted(range(1, len(values), 2), key=values.__getitem__):
+        lo, hi = end[i - 1], end[i + 1]
+        end[lo], end[hi] = hi, lo
+        value[lo] = join(values[i], value[lo], value[i + 1])
+    return value[0]
 
 
 def _raw_bars(f: CriticalSequence) -> list[tuple[Height, int, Height]]:

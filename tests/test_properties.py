@@ -1,7 +1,8 @@
-"""Property tests: the one-pass choice counts, the sweep, the enumerators, the validator and the oracle against their references."""
+"""Property tests: the one-pass choice counts, the sweep, the enumerators, the validator, the oracle and tree ==/hash/repr against their references."""
 import math
+from dataclasses import field, make_dataclass
 from enum import IntEnum
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +20,18 @@ from persfiber import (
     validate_critical_sequence,
 )
 from persfiber.core import (
+    ChiralMergeTree,
     CriticalSequence,
     DuplicateValue,
     EvenLength,
+    MergeTree,
     NotAlternating,
     TooShort,
     _require_height,
+    tree_from_dict,
+    tree_to_dict,
 )
-from persfiber.fiber import _choice_counts, containment_poset
+from persfiber.fiber import _choice_counts, _containers, check_function_realizable, containment_poset
 from persfiber.oracle import _fibers, all_functions, brute_fiber
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
@@ -237,3 +242,84 @@ def test_fibers_match_grouping_by_sweep_barcode(split):
     assert list(groups) == list(expected)
     assert [_typed(fs) for fs in groups.values()] == [_typed(fs) for fs in expected.values()]
     assert [_typed_bars(b) for b in groups] == [_typed_bars(b) for b in expected]
+
+
+def _reference_enumerate_functions(b):
+    """The product loop that the level-by-level build replaced, kept as the reference."""
+    check_function_realizable(b)
+    choices = [
+        [(b.bars[k - 1].birth, right, pair)
+         for k in parents
+         for right, pair in ((0, (bar.birth, bar.death)), (1, (bar.death, bar.birth)))]
+        for bar, parents in zip(b.bars[1:], _containers(b)[1:])
+    ]
+    out = []
+    for combo in product(*choices):
+        seq = [b.bars[0].birth]
+        for parent_birth, right, pair in combo:
+            i = seq.index(parent_birth) + right
+            seq[i:i] = pair
+        out.append(tuple(seq))
+    out.sort()
+    return [validate_critical_sequence(seq) for seq in out]
+
+
+@st.composite
+def realizable_barcodes(draw):
+    """Generic barcodes with distinct births and N = 2..6 bars, ints and floats mixed.
+
+    The lowest of 2N - 1 distinct heights is the essential birth; the others
+    are paired at random into finite bars, so every bar lies inside the
+    essential one and no height repeats.
+    """
+    n = draw(st.integers(2, 6))
+    values = sorted(draw(st.lists(heights, min_size=2 * n - 1, max_size=2 * n - 1, unique=True)))
+    rest = draw(st.permutations(values[1:]))
+    return validate_barcode([(values[0], None)] + [tuple(sorted(rest[i:i + 2])) for i in range(0, len(rest), 2)])
+
+
+@settings(deadline=None)
+@given(realizable_barcodes())
+def test_enumerate_functions_matches_the_product_loop(b):
+    assert _typed(enumerate_functions(b)) == _typed(_reference_enumerate_functions(b))
+
+
+# The tree classes as the dataclass decorator generates them: ==, hash and repr recurse.
+ReferenceMergeTree = make_dataclass(
+    "MergeTree", [("height", object), ("children", tuple, field(default=()))], frozen=True)
+ReferenceChiralMergeTree = make_dataclass(
+    "ChiralMergeTree", [("height", object), ("left", object, field(default=None)),
+                        ("right", object, field(default=None))], frozen=True)
+
+
+def _reference_tree(t):
+    if isinstance(t, MergeTree):
+        return ReferenceMergeTree(t.height, tuple(map(_reference_tree, t.children)))
+    return ReferenceChiralMergeTree(t.height, *map(_reference_tree, t.children))
+
+
+@st.composite
+def small_trees(draw):
+    """Trees of both kinds on at most 7 vertices with heights 0..6, each an int or a float, so equal trees recur."""
+    values = draw(st.lists(st.integers(0, 6).flatmap(lambda v: st.sampled_from([v, float(v)])),
+                           min_size=1, max_size=7, unique=True))
+    if len(values) < 3:
+        t = ChiralMergeTree(values[0])
+    else:
+        t = merge_tree_of_sequence(validate_critical_sequence(_wiggle(values[: len(values) - 1 + len(values) % 2])))
+    return forget_chirality(t) if draw(st.booleans()) else t
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_trees(), small_trees())
+def test_tree_eq_hash_repr_match_the_dataclass_methods(t1, t2):
+    r1, r2 = _reference_tree(t1), _reference_tree(t2)
+    assert repr(t1) == repr(r1)
+    assert (t1 == t2) == (r1 == r2)
+    assert (t1 != t2) == (r1 != r2)
+    if t1 == t2:
+        assert hash(t1) == hash(t2)
+    copy = tree_from_dict(tree_to_dict(t1))  # a lone leaf decodes as chiral whatever its kind
+    assert (copy == t1) == (type(copy) is type(t1))
+    if type(copy) is type(t1):
+        assert hash(copy) == hash(t1) and repr(copy) == repr(t1)

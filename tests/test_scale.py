@@ -44,7 +44,7 @@ def test_forward_round_trip_on_deep_zigzag(mirrored):
 
 
 def preorder(t):
-    """(height, leaf?) of every vertex in pre-order: it pins the tree down, and unlike == it does not recurse."""
+    """(height, leaf?) of every vertex in pre-order: it pins the tree down, independently of ==."""
     return [(v.height, v.is_leaf) for v in t.vertices()]
 
 
@@ -57,6 +57,18 @@ def test_tree_documents_and_dot_of_deep_zigzag(mirrored):
         assert type(back) is type(tree)
         assert preorder(back) == preorder(tree)
         assert to_dot(tree).count("[label=") == 2 * K - 1
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["zigzag", "mirrored"])
+def test_deep_trees_compare_hash_and_print(mirrored):
+    values = zigzag(K)
+    t = merge_tree_of_sequence(validate_critical_sequence(values[::-1] if mirrored else values))
+    for tree in (t, forget_chirality(t)):
+        back = tree_from_dict(tree_to_dict(tree))
+        assert back == tree
+        assert hash(back) == hash(tree)
+        assert len({tree, back}) == 1
+        assert repr(tree).startswith(f"{type(tree).__name__}(height=")
 
 
 def test_count_of_large_nested_barcode():
