@@ -5,11 +5,11 @@ Each finite bar j picks a parent bar whose interval strictly contains it and
 attaches there at its death height, splitting the parent's monotone chain;
 chiral plans also pick the side. Multiplying the choice counts gives the
 number of merge trees, and one factor of two per finite bar the number of
-chiral ones. The tree enumerators materialize every plan and sort the
-trees by canonical form. Functions are written straight from the choices,
-with no tree built, one bar at a time: a prefix shared by many functions is
-built once, so the build costs O(N) per function. They are then sorted by
-their critical values.
+chiral ones. Every realization comes from one builder, `_in_order`, which
+writes its in-order sequence one bar at a time: a prefix shared by many
+results is built once, so the build costs O(N) per result. Functions are
+those sequences on the heights themselves, sorted by value; trees are swept
+from the sequences on bar labels and sorted by canonical form.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     Barcode,
@@ -31,6 +31,7 @@ from .core import (
     validate_barcode,
     validate_critical_sequence,
 )
+from .persistence import _sweep
 
 
 class DegenerateBarcode(ValidationError):
@@ -108,13 +109,15 @@ def count_cmts(b: Barcode) -> int:
     return 2 ** (b.N - 1) * count_merge_trees(b)
 
 
+def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ...]]]:
+    """Per finite bar, the bars that may carry it and its sides; unordered plans are chiral ones all R."""
+    return [(parents, ("L", "R") if chiral else ("R",)) for parents in _containers(b)[1:]]
+
+
 def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
     """All plans, death-descending / parent-index / left-before-right."""
-    containers = _containers(b)[1:]
-    if not chiral:
-        return [AttachmentPlan(parents) for parents in product(*containers)]
-    per_bar = [[(k, s) for k in parents for s in ("L", "R")] for parents in containers]
-    return [AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo))
+    per_bar = [[(k, s) for k in parents for s in sides] for parents, sides in _choices(b, chiral=chiral)]
+    return [AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo) if chiral else None)
             for combo in product(*per_bar)]
 
 
@@ -129,61 +132,71 @@ def _check_plan(b: Barcode, plan: AttachmentPlan) -> None:
         if sides.count("L") + sides.count("R") != len(sides):
             j, side = next((j, s) for j, s in enumerate(sides, 2) if s not in ("L", "R"))
             raise InvalidPlan(f"side of bar {j} must be 'L' or 'R', got {side!r}", position=j)
-    indices = range(1, len(bars) + 1)
     for j, k in enumerate(parents, 2):
-        if k not in indices or not bars[k - 1].strictly_contains(bars[j - 1]):
+        if type(k) is not int or not 1 <= k <= len(bars) or not bars[k - 1].strictly_contains(bars[j - 1]):
             raise InvalidPlan(f"parent {k!r} of bar {j} does not strictly contain it", position=j)
 
 
-def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
-    """Build the tree a plan of attachment_plans(b) describes.
+def _in_order(leaf: Sequence, dead: Sequence, choices: list) -> list[tuple]:
+    """In-order label sequences of every realization the choices allow, in plan order.
 
-    Each bar is a monotone chain from its birth leaf up to its death; bar j
-    becomes an internal vertex at its death height on the parent's chain,
-    with the parent's continuation on one side and bar j's own subtree on the
-    other. The elder rule of the result returns exactly b. A plan that is
-    not one of attachment_plans(b) raises InvalidPlan.
+    leaf[j - 1] and dead[j - 1] label bar j's leaf and death vertex, all
+    distinct. Bar j on side L of bar k goes in as (leaf, dead) just left of
+    k's leaf, on side R as (dead, leaf) just right of it; bars go in death
+    order, so each lands inside the subtree it hangs in. Each level extends
+    every sequence of the last by every choice of the next bar: a shared
+    prefix is built once, and levels at least double, so O(N) per result.
+    """
+    level = [(leaf[0],)]
+    for j, (parents, sides) in enumerate(choices, 1):
+        cuts = [(0, (leaf[j], dead[j])) if s == "L" else (1, (dead[j], leaf[j])) for s in sides]
+        at = [leaf[k - 1] for k in parents]
+        level = [seq[:i + r] + pair + seq[i + r:] for seq in level for i in map(seq.index, at) for r, pair in cuts]
+    return level
+
+
+def _trees(b: Barcode, choices: list, *, chiral: bool) -> list[Tree]:
+    """The trees of the choices in plan order, each swept from its in-order sequence.
+
+    Bar j is labelled j at its leaf and -j at its death, so tied heights stay
+    apart; the sweep opens every leaf, then joins at the distinct deaths.
+    """
+    height = (None, *b.births, *(bar.death for bar in reversed(b.bars)))  # [j] birth, [-j] death of bar j
+    tree = ChiralMergeTree if chiral else MergeTree
+    join = ChiralMergeTree if chiral else (lambda y, left, right: MergeTree(y, (left, right)))
+    return [_sweep(tuple(map(height.__getitem__, seq)), lambda y, _: tree(y), join)
+            for seq in _in_order(range(1, b.N + 1), range(-1, -b.N - 1, -1), choices)]
+
+
+def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
+    """Build the tree a plan of attachment_plans(b) describes, by one pass of the builder.
+
+    Bar j hangs at its death height on its parent's chain, beside the
+    parent's continuation (first in an unordered tree); the elder rule gives
+    back b. A plan that is not one of attachment_plans(b) raises InvalidPlan.
     """
     _check_plan(b, plan)
-    hanging: dict[int, list[tuple]] = {k: [] for k in range(1, b.N + 1)}
-    for i, k in enumerate(plan.parents):
-        hanging[k].append((i + 2, plan.sides[i] if plan.chiral else None))
-    built: dict[int, Tree] = {}
-    # A bar dies below its parent, so it has the larger index: building the
-    # youngest bar's chain first finds every attached chain already built.
-    for k in range(b.N, 0, -1):
-        node = (ChiralMergeTree if plan.chiral else MergeTree)(b.bars[k - 1].birth)
-        for j, side in reversed(hanging[k]):  # up the chain, lowest death first
-            death, attached = b.bars[j - 1].death, built.pop(j)
-            if not plan.chiral:
-                node = MergeTree(death, (node, attached))
-            elif side == "L":
-                node = ChiralMergeTree(death, attached, node)
-            else:
-                node = ChiralMergeTree(death, node, attached)
-        built[k] = node
-    return built[1]
+    sides = plan.sides if plan.chiral else ("R",) * len(plan.parents)
+    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral)[0]
 
 
 def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
-    """Every merge tree realizing b, sorted by canonical form.
+    """Every merge tree realizing b, in plan order, then stably sorted by canonical form.
 
     Pairwise non-isomorphic for generic b: two plans always differ in some
     attachment height pairing, which the canonical form sees.
     """
-    trees = [materialize(b, p) for p in attachment_plans(b, chiral=False)]
-    return sorted(trees, key=canonical_form)
+    return sorted(_trees(b, _choices(b, chiral=False), chiral=False), key=canonical_form)
 
 
 def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
-    """Every chiral merge tree realizing b, sorted by canonical form.
+    """Every chiral merge tree realizing b, in plan order, then stably sorted by canonical form.
 
     Pairwise non-isomorphic when births are distinct; with tied births two
     mirror-symmetric siblings can coincide and the formula count exceeds the
     number of distinct classes.
     """
-    trees = [materialize(b, p) for p in attachment_plans(b, chiral=True)]
-    return sorted(trees, key=canonical_form)
+    return sorted(_trees(b, _choices(b, chiral=True), chiral=True), key=canonical_form)
 
 
 def check_function_realizable(b: Barcode) -> None:
@@ -204,24 +217,12 @@ def check_function_realizable(b: Barcode) -> None:
 def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     """Canonical representative of every function class realizing b, sorted by values.
 
-    Each is the in-order traversal of the chiral tree a plan describes,
-    written with no tree built. From [b_1], bars are placed in death order:
-    bar j on side L of bar k inserts (b_j, d_j) just left of b_k, on side R
-    (d_j, b_j) just right of it. A later bar dies lower, so it lands next to
-    its own parent's birth, inside the subtree materialize would hang it in.
-    The sequences grow one bar at a time, each level extending every prefix
-    of the level before by every choice of the next bar, so a prefix shared
-    by many results is built once. A level has at least twice the entries of
-    the one before, so the build costs O(N) per result. The raw tuples are
-    sorted, then each is validated as a critical sequence.
+    Each is the in-order traversal of a plan's chiral tree, written by the
+    builder on the heights themselves, which check_function_realizable makes
+    pairwise distinct. The tuples are sorted, then validated.
     """
     check_function_realizable(b)
-    level = [(b.bars[0].birth,)]
-    for bar, parents in zip(b.bars[1:], _containers(b)[1:]):
-        left, right = (bar.birth, bar.death), (bar.death, bar.birth)
-        births = [b.bars[k - 1].birth for k in parents]
-        level = [grown for seq in level for i in map(seq.index, births)
-                 for grown in (seq[:i] + left + seq[i:], seq[:i + 1] + right + seq[i + 1:])]
+    level = _in_order(b.births, (None,) + b.finite_deaths, _choices(b, chiral=True))
     level.sort()
     return [validate_critical_sequence(seq) for seq in level]
 

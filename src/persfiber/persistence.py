@@ -12,7 +12,7 @@ barcode, so the two can be played against each other.
 from __future__ import annotations
 
 import math
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .core import (
     Barcode,
@@ -30,15 +30,14 @@ class BadPair(ValidationError):
     """rank(f, r, t) needs r <= t."""
 
 
-def _sweep(f: CriticalSequence, leaf: Callable[[Height, int], T], join: Callable[[Height, T, T], T]) -> T:
-    """Fold the sublevel components of f bottom-up; return the last one's value.
+def _sweep(values: Sequence[Height], leaf: Callable[[Height, int], T], join: Callable[[Height, T, T], T]) -> T:
+    """Fold the sublevel components of alternating values bottom-up; return the last one's value.
 
     Every minimum lies below both neighbouring maxima, so each minimum y at
     position pos first opens a component valued leaf(y, pos). Then, lowest
     first, the maximum y joins the components left and right of it into one
-    valued join(y, left value, right value).
+    valued join(y, left value, right value). Only the maxima are compared.
     """
-    values = f.values
     end = list(range(len(values)))  # either end of a live component -> its other end (0-based)
     value = [leaf(y, i + 1) if i % 2 == 0 else None for i, y in enumerate(values)]  # by left end
     for i in sorted(range(1, len(values), 2), key=values.__getitem__):
@@ -60,7 +59,7 @@ def _raw_bars(f: CriticalSequence) -> list[tuple[Height, int, Height]]:
         raw.append((*younger, y))
         return elder
 
-    raw.append((*_sweep(f, lambda y, pos: (y, pos), join), math.inf))
+    raw.append((*_sweep(f.values, lambda y, pos: (y, pos), join), math.inf))
     return raw
 
 

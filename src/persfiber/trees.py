@@ -52,7 +52,7 @@ class ElderDecomposition:
 
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
     """Join subtrees across each maximum of f, lowest maximum first."""
-    return _sweep(f, lambda y, _: ChiralMergeTree(y), ChiralMergeTree)
+    return _sweep(f.values, lambda y, _: ChiralMergeTree(y), ChiralMergeTree)
 
 
 def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:

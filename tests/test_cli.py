@@ -17,6 +17,15 @@ BC4 = {
     ]
 }
 
+# Tied births: trees are counted and listed, functions are refused.
+TIED = {
+    "bars": [
+        {"birth": 1, "death": None},
+        {"birth": 2, "death": 7},
+        {"birth": 2, "death": 6},
+    ]
+}
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -103,6 +112,32 @@ def test_enumerate_trees_command(write, capsys):
         {"height": 7, "left": {"height": 1}, "right": {"height": 2}},
         {"height": 7, "left": {"height": 2}, "right": {"height": 1}},
     ]
+
+
+@pytest.mark.parametrize(
+    "doc, mode, expected",
+    [
+        (BC4, "chiral", 48),
+        (BC4, "merge-trees", 6),
+        (BC4, "functions", 48),
+        (TIED, "chiral", 8),
+        (TIED, "merge-trees", 2),
+        (TIED, "functions", "DuplicateBirth"),
+    ],
+    ids=["four-bar-chiral", "four-bar-merge-trees", "four-bar-functions",
+         "tied-chiral", "tied-merge-trees", "tied-functions"],
+)
+def test_count_equals_the_length_of_enumerate(write, capsys, doc, mode, expected):
+    # Either both answer and agree, or both refuse with the same error class.
+    path = write(doc)
+    counted = run(capsys, ["count", f"--{mode}", path])
+    listed = run(capsys, ["enumerate", f"--{mode}", path])
+    if isinstance(expected, int):
+        assert counted == (0, f"{expected}\n", "")
+        assert (listed[0], listed[2], len(json.loads(listed[1]))) == (0, "", expected)
+    else:
+        assert (counted[:2], listed[:2]) == ((1, ""), (1, ""))
+        assert counted[2].split(":")[0] == listed[2].split(":")[0] == expected
 
 
 def test_reconstruct_command(write, capsys):

@@ -110,8 +110,11 @@ def test_every_plan_realizes_its_barcode():
         AttachmentPlan((1, 1)),
         AttachmentPlan((1, 2, 3), ("L", "X", "R")),
         AttachmentPlan((1, 2, 3), ("L", "R")),
+        AttachmentPlan((1.0, 1, 1)),
+        AttachmentPlan((True, 1, 1)),  # a bool is an int, but not a bar index
     ],
-    ids=["parent-not-containing", "parent-0", "parent-5", "missing-bar", "unknown-side", "short-sides"],
+    ids=["parent-not-containing", "parent-0", "parent-5", "missing-bar", "unknown-side", "short-sides",
+         "parent-float", "parent-bool"],
 )
 def test_materialize_rejects_a_malformed_plan(plan):
     with pytest.raises(InvalidPlan):

@@ -1,4 +1,4 @@
-"""Property tests: the one-pass choice counts, the sweep, the enumerators, the validator, the oracle and tree ==/hash/repr against their references."""
+"""Property tests: the one-pass choice counts, the sweep, the enumerators, materialize, the validator, the oracle and tree ==/hash/repr against their references."""
 import math
 from dataclasses import field, make_dataclass
 from enum import IntEnum
@@ -28,10 +28,20 @@ from persfiber.core import (
     NotAlternating,
     TooShort,
     _require_height,
+    canonical_form,
     tree_from_dict,
     tree_to_dict,
 )
-from persfiber.fiber import _choice_counts, _containers, check_function_realizable, containment_poset
+from persfiber.fiber import (
+    AttachmentPlan,
+    _choice_counts,
+    _containers,
+    attachment_plans,
+    check_function_realizable,
+    containment_poset,
+    enumerate_merge_trees,
+    materialize,
+)
 from persfiber.oracle import _fibers, all_functions, brute_fiber
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
@@ -282,6 +292,79 @@ def realizable_barcodes(draw):
 @given(realizable_barcodes())
 def test_enumerate_functions_matches_the_product_loop(b):
     assert _typed(enumerate_functions(b)) == _typed(_reference_enumerate_functions(b))
+
+
+def _reference_plans(b, chiral):
+    """Every attachment plan by its definition: per finite bar a containing bar, parent by parent, L before R."""
+    sides = ("L", "R") if chiral else (None,)
+    per_bar = [[(k, s) for k in sorted(containing_set(b, j)) for s in sides] for j in b.bars[1:]]
+    return [AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo) if chiral else None)
+            for combo in product(*per_bar)]
+
+
+def _reference_materialize(b, plan):
+    """The chain builder that the one in-order builder replaced, kept as the reference (valid plans only)."""
+    hanging = {k: [] for k in range(1, b.N + 1)}
+    for i, k in enumerate(plan.parents):
+        hanging[k].append((i + 2, plan.sides[i] if plan.chiral else None))
+    built = {}
+    # A bar dies below its parent, so it has the larger index: building the
+    # youngest bar's chain first finds every attached chain already built.
+    for k in range(b.N, 0, -1):
+        node = (ChiralMergeTree if plan.chiral else MergeTree)(b.bars[k - 1].birth)
+        for j, side in reversed(hanging[k]):  # up the chain, lowest death first
+            death, attached = b.bars[j - 1].death, built.pop(j)
+            if not plan.chiral:
+                node = MergeTree(death, (node, attached))
+            elif side == "L":
+                node = ChiralMergeTree(death, attached, node)
+            else:
+                node = ChiralMergeTree(death, node, attached)
+        built[k] = node
+    return built[1]
+
+
+@st.composite
+def tied_barcodes(draw):
+    """Generic barcodes with N = 1..6 bars on heights 0..12, each an int or a float.
+
+    Births come from a small range, so they often tie; a death equal to
+    another bar's birth is forced half the time. Deaths stay pairwise
+    distinct and above the essential birth 0, so the barcode stays generic.
+    """
+    n = draw(st.integers(1, 6))
+    deaths = draw(st.lists(st.integers(2, 12), min_size=n - 1, max_size=n - 1, unique=True))
+    bars = [[draw(st.integers(1, d - 1)), d] for d in deaths]
+    if n >= 3 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n - 1)))[:2]
+        if bars[i][1] < bars[j][1]:
+            bars[j][0] = bars[i][1]
+    mixed = lambda v: draw(st.sampled_from([v, float(v)]))
+    return validate_barcode([(mixed(0), None)] + [(mixed(birth), mixed(death)) for birth, death in bars])
+
+
+def _reprs(trees):
+    return [repr(t) for t in trees]
+
+
+@settings(deadline=None)
+@given(tied_barcodes())
+def test_materialize_matches_the_chain_builder(b):
+    for chiral in (False, True):
+        plans = attachment_plans(b, chiral=chiral)
+        assert plans == _reference_plans(b, chiral)
+        for plan in plans:
+            tree, expected = materialize(b, plan), _reference_materialize(b, plan)
+            assert tree == expected and repr(tree) == repr(expected)
+
+
+@settings(deadline=None)
+@given(tied_barcodes())
+def test_tree_enumerators_match_the_chain_builder(b):
+    for enumerate_trees, chiral in ((enumerate_merge_trees, False), (enumerate_cmts, True)):
+        expected = sorted((_reference_materialize(b, p) for p in _reference_plans(b, chiral)), key=canonical_form)
+        trees = enumerate_trees(b)
+        assert trees == expected and _reprs(trees) == _reprs(expected)
 
 
 # The tree classes as the dataclass decorator generates them: ==, hash and repr recurse.
