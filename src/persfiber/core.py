@@ -111,7 +111,7 @@ def height_token(h: Height) -> str:
 # critical sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalSequence:
     """Alternating critical values y_1..y_{2k-1} of a function on [0, 1].
 
@@ -481,6 +481,30 @@ def _fold(root: object, kids: Callable, leaf: Callable, join: Callable):
 
 
 _children = operator.attrgetter("children")
+
+
+def _encoder(*, chiral: bool) -> Callable[[Tree], CanonicalEncoding]:
+    """canonical_form of many trees that encodes each distinct vertex object once.
+
+    With chiral=False children are unordered, as after forget_chirality. The
+    memo holds every vertex it keys by id, and every encoding: far more than
+    canonical_form's fold keeps for one deep tree.
+    """
+    memo: dict[int, tuple] = {}  # id(vertex) -> (vertex, (height, encoding))
+
+    def kids(v: Tree) -> tuple:
+        return () if id(v) in memo else v.children
+
+    def leaf(v: Tree) -> tuple[Height, str]:  # a leaf, or a vertex encoded before
+        return memo[id(v)][1] if id(v) in memo else (v.height, f"({height_token(v.height)})")
+
+    def join(v: Tree, first: tuple, second: tuple) -> tuple[Height, str]:
+        if not chiral and second < first:
+            first, second = second, first
+        memo[id(v)] = v, (v.height, f"({height_token(v.height)} {first[1]} {second[1]})")
+        return memo[id(v)][1]
+
+    return lambda tree: _fold(tree, kids, leaf, join)[1]
 
 
 def canonical_form(tree: Tree) -> CanonicalEncoding:

@@ -9,7 +9,7 @@ chiral ones. Every realization comes from one builder, `_in_order`, which
 writes its in-order sequence one bar at a time: a prefix shared by many
 results is built once, so the build costs O(N) per result. Functions are
 those sequences on the heights themselves, sorted by value; trees are swept
-from the sequences on bar labels and sorted by canonical form.
+from them on bar labels, sharing equal subtrees, and sorted by canonical form.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .core import (
     MergeTree,
     Tree,
     ValidationError,
-    canonical_form,
+    _encoder,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -159,12 +159,21 @@ def _trees(b: Barcode, choices: list, *, chiral: bool) -> list[Tree]:
     """The trees of the choices in plan order, each swept from its in-order sequence.
 
     Bar j is labelled j at its leaf and -j at its death, so tied heights stay
-    apart; the sweep opens every leaf, then joins at the distinct deaths.
+    apart, and the sweep runs on the labels: -j ascends as the deaths do.
+    Equal subtrees are one object, shared only across the frozen trees, as
+    labels are unique within a tree.
     """
-    height = (None, *b.births, *(bar.death for bar in reversed(b.bars)))  # [j] birth, [-j] death of bar j
-    tree = ChiralMergeTree if chiral else MergeTree
-    join = ChiralMergeTree if chiral else (lambda y, left, right: MergeTree(y, (left, right)))
-    return [_sweep(tuple(map(height.__getitem__, seq)), lambda y, _: tree(y), join)
+    kind = ChiralMergeTree if chiral else MergeTree
+    death = (None, *(bar.death for bar in reversed(b.bars)))  # [-j] is the death of bar j
+    memo: dict = {j: kind(h) for j, h in enumerate(b.births, 1)}  # leaf j; (-j, id(left), id(right)) -> join
+
+    def join(j: int, left: Tree, right: Tree) -> Tree:
+        key = j, id(left), id(right)
+        if key not in memo:  # the memo holds every vertex whose id it keys, so no id is reused
+            memo[key] = kind(death[j], left, right) if chiral else kind(death[j], (left, right))
+        return memo[key]
+
+    return [_sweep(seq, lambda j, _: memo[j], join)
             for seq in _in_order(range(1, b.N + 1), range(-1, -b.N - 1, -1), choices)]
 
 
@@ -183,10 +192,12 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
 def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     """Every merge tree realizing b, in plan order, then stably sorted by canonical form.
 
-    Pairwise non-isomorphic for generic b: two plans always differ in some
-    attachment height pairing, which the canonical form sees.
+    Pairwise non-isomorphic when births are distinct; with tied births two
+    plans that differ only in which tied bar is the elder give one tree, and
+    the formula count exceeds the number of distinct classes. The trees
+    share their equal subtrees.
     """
-    return sorted(_trees(b, _choices(b, chiral=False), chiral=False), key=canonical_form)
+    return sorted(_trees(b, _choices(b, chiral=False), chiral=False), key=_encoder(chiral=False))
 
 
 def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
@@ -194,9 +205,9 @@ def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
 
     Pairwise non-isomorphic when births are distinct; with tied births two
     mirror-symmetric siblings can coincide and the formula count exceeds the
-    number of distinct classes.
+    number of distinct classes. The trees share their equal subtrees.
     """
-    return sorted(_trees(b, _choices(b, chiral=True), chiral=True), key=canonical_form)
+    return sorted(_trees(b, _choices(b, chiral=True), chiral=True), key=_encoder(chiral=True))
 
 
 def check_function_realizable(b: Barcode) -> None:

@@ -1,16 +1,18 @@
 """Brute-force ground truth for the counting and enumeration machinery.
 
-all_functions and brute_fiber know nothing about attachment plans or
-counting formulas: they generate only the alternating arrangements of the
-given values, pass each through the sequence validator, and group them by
-sweep barcode. verify() is the one place both routes meet. It generates the
-candidates once, sweeps each of them once, builds one barcode per group, and
-reports the formula, the plan enumeration and the brute force side by side;
-its partition check compares the size of every fiber that arises from b's
+all_functions and brute_fiber know nothing about attachment plans, counting
+formulas or the sublevel sweep: they generate only the alternating
+arrangements of the given values, pass each through the sequence validator,
+and group them by barcode, paired off by the oracle's own elder pairing.
+verify() is the one place the routes meet. It generates the candidates once,
+pairs each of them once, builds one barcode per group, and reports the
+formula, the plan enumeration and the brute force side by side; its
+partition check compares the size of every fiber that arises from b's
 critical values with the counting formula.
 """
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterable
@@ -22,12 +24,10 @@ from .core import (
     DuplicateValue,
     Height,
     ValidationError,
-    canonical_form,
+    _encoder,
     validate_barcode,
     validate_critical_sequence,
 )
-from .persistence import _raw_bars
-from .trees import forget_chirality
 
 MAX_MINIMA = 6  # at most 6! * 5! = 86_400 candidates; beyond that brute force stops being quick
 
@@ -73,20 +73,43 @@ def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[Cr
     return [validate_critical_sequence(v) for v in raws]
 
 
-def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
-    """all_functions(minima, maxima) grouped by sweep barcode, in one pass.
+def _elder_pairs(values: tuple[Height, ...]) -> list[tuple[Height, Height]]:
+    """The (birth, death) pairs of distinct alternating values by ascending death, the essential bar last.
 
-    The key is the sweep's raw (birth, death) pairs, whose closing order is
-    canonical; each group's Barcode is built and validated once, afterwards.
+    Each maximum z reaches out on both sides to the nearest higher maximum;
+    of the lowest minima on the two sides, the larger dies at z. A stack holds
+    the maxima no higher one has passed yet; the end of the values passes all.
+    """
+    pairs, stack = [], []  # stack: (maximum, lowest minimum between it and the maximum below it)
+    it = iter((*values, None, None))
+    low = next(it)  # lowest minimum since the maximum on top of the stack
+    for y, nxt in zip(it, it):
+        while stack and (y is None or stack[-1][0] < y):
+            z, left = stack.pop()
+            if left < low:
+                left, low = low, left
+            pairs.append((left, z))
+        stack.append((y, low))
+        low = nxt
+    pairs.sort(key=itemgetter(1))
+    pairs.append((stack[0][1], math.inf))
+    return pairs
+
+
+def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
+    """all_functions(minima, maxima) grouped by barcode, in one pass.
+
+    The key is the candidate's elder pairs, whose order is canonical; each
+    group's Barcode is built and validated once, afterwards.
     """
     groups: dict[tuple[tuple[Height, Height], ...], list[CriticalSequence]] = {}
     for f in all_functions(minima, maxima):
-        groups.setdefault(tuple([(b, d) for b, _, d in _raw_bars(f)]), []).append(f)
+        groups.setdefault(tuple(_elder_pairs(f.values)), []).append(f)
     return {validate_barcode(key): fs for key, fs in groups.items()}
 
 
 def brute_fiber(b: Barcode) -> list[CriticalSequence]:
-    """Every function realizing b, found by filtering all_functions by sweep.
+    """Every function realizing b, found by grouping all_functions by elder pairs.
 
     The barcode's births are the candidate minima and its finite deaths the
     maxima; nothing from the plan enumeration is consulted.
@@ -99,9 +122,10 @@ def verify(b: Barcode) -> dict:
 
     The brute force runs first, so an input past MAX_MINIMA or with shared
     critical values is refused before any tree is built. Its candidates are
-    generated once and swept once; grouped by barcode, they give both b's
+    generated once and paired once; grouped by barcode, they give both b's
     brute fiber and the partition check: every barcode arising from b's
-    critical values a has exactly count_cmts(a) functions.
+    critical values a has exactly count_cmts(a) functions. The dedup reads
+    only the enumerated trees, encoding each shared subtree once, unordered.
     """
     groups = _fibers(b.births, b.finite_deaths)
     brute = groups.get(b, [])
@@ -109,7 +133,7 @@ def verify(b: Barcode) -> dict:
 
     cmts = fiber.enumerate_cmts(b)
     mts = fiber.enumerate_merge_trees(b)
-    dedup = len({canonical_form(forget_chirality(t)) for t in cmts})
+    dedup = len(set(map(_encoder(chiral=False), cmts)))
     formula_cmt = fiber.count_cmts(b)
     formula_mt = fiber.count_merge_trees(b)
     return {

@@ -151,6 +151,17 @@ def test_enumerated_trees_are_pairwise_distinct():
     assert len(set(canon(cmts))) == 48
 
 
+def nested(n):
+    return validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("enumerate_trees", [enumerate_cmts, enumerate_merge_trees])
+def test_enumerators_build_each_distinct_subtree_once(enumerate_trees):
+    trees = enumerate_trees(nested(6))
+    vertices = {id(v): v for t in trees for v in t.vertices()}
+    assert len(vertices) == len({canonical_form(v) for v in vertices.values()})
+
+
 def test_enumeration_is_sound():
     for t in enumerate_cmts(NESTED):
         assert elder_rule(forget_chirality(t))[0] == NESTED

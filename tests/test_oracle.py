@@ -216,5 +216,8 @@ def _names(code):
 
 
 def test_brute_force_never_consults_plans_or_the_formula():
-    for fn in (oracle.all_functions, oracle._fibers, oracle.brute_fiber):
+    for name in ("all_functions", "_fibers", "brute_fiber", "_elder_pairs"):
+        fn = getattr(oracle, name)
         assert "fiber" not in _names(fn.__code__), fn.__name__
+        # the brute force pairs its candidates itself, not with the sweep the forward direction uses
+        assert not {"_sweep", "_raw_bars"} & _names(fn.__code__), fn.__name__

@@ -27,6 +27,8 @@ from persfiber.core import (
     MergeTree,
     NotAlternating,
     TooShort,
+    ValidationError,
+    _encoder,
     _require_height,
     canonical_form,
     tree_from_dict,
@@ -42,7 +44,8 @@ from persfiber.fiber import (
     enumerate_merge_trees,
     materialize,
 )
-from persfiber.oracle import _fibers, all_functions, brute_fiber
+from persfiber.oracle import _elder_pairs, _fibers, all_functions, brute_fiber, verify
+from persfiber.persistence import _raw_bars
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
@@ -254,6 +257,14 @@ def test_fibers_match_grouping_by_sweep_barcode(split):
     assert [_typed_bars(b) for b in groups] == [_typed_bars(b) for b in expected]
 
 
+@settings(deadline=None)
+@given(critical_values())
+def test_elder_pairs_match_the_sweep(split):
+    for f in all_functions(*split):
+        pairs = [(type(h), h) for pair in _elder_pairs(f.values) for h in pair]
+        assert pairs == [(type(h), h) for b, _, d in _raw_bars(f) for h in (b, d)]
+
+
 def _reference_enumerate_functions(b):
     """The product loop that the level-by-level build replaced, kept as the reference."""
     check_function_realizable(b)
@@ -365,6 +376,20 @@ def test_tree_enumerators_match_the_chain_builder(b):
         expected = sorted((_reference_materialize(b, p) for p in _reference_plans(b, chiral)), key=canonical_form)
         trees = enumerate_trees(b)
         assert trees == expected and _reprs(trees) == _reprs(expected)
+
+
+@settings(deadline=None)
+@given(tied_barcodes())
+def test_dedup_is_the_canonical_form_of_each_forgotten_tree(b):
+    cmts = enumerate_cmts(b)
+    expected = [canonical_form(forget_chirality(t)) for t in cmts]
+    assert list(map(_encoder(chiral=False), cmts)) == expected
+    try:
+        check_function_realizable(b)  # exactly the barcodes verify accepts, up to its cap
+    except ValidationError:
+        return
+    if b.N <= 5:  # verify's brute force is slow at six bars
+        assert verify(b)["dedup_mt_from_cmts"] == len(set(expected))
 
 
 # The tree classes as the dataclass decorator generates them: ==, hash and repr recurse.
