@@ -146,40 +146,50 @@ def validate_critical_sequence(values: Sequence[Height]) -> CriticalSequence:
     Raises InvalidDocument, EvenLength, TooShort, DuplicateValue or
     NotAlternating, in that order of precedence; InvalidDocument,
     DuplicateValue and NotAlternating carry the first offending 1-based
-    position. Each check runs over the whole tuple with builtins; the
-    per-position loop that locates the failure runs only when a check fails.
+    position. Valid plain int/float input passes one conjunction of whole-tuple
+    builtin checks; anything else takes the per-position diagnosis, which
+    raises the first failure or accepts (int subclasses, huge ints).
     """
     vals = tuple(values)
+    n = len(vals)
     types = set(map(type, vals))
     try:
-        plain = types <= {int, float} and (float not in types or all(map(math.isfinite, vals)))
-    except OverflowError:  # an int too large for a float; the loop accepts it
-        plain = False
-    if not plain:  # int subclasses also take the loop, which accepts them
-        for i, v in enumerate(vals, 1):
-            _require_height(v, where="critical value", position=i)
-    n = len(vals)
+        # Plain, pairwise distinct, NaN-free values, so `not a < b` means a > b: the `<` of
+        # each neighbour pair against the rise/fall pattern checks alternation at any length.
+        if (n % 2 and n >= 3 and types <= {int, float}
+                and (float not in types or all(map(math.isfinite, vals)))
+                and len(set(vals)) == n
+                and list(map(operator.lt, vals, vals[1:])) == [True, False] * (n // 2)):
+            return _wrap(vals)
+    except OverflowError:  # an int too large for a float
+        pass
+    return _diagnose(vals, n)
+
+
+def _diagnose(vals: tuple, n: int) -> CriticalSequence:
+    for i, v in enumerate(vals, 1):
+        _require_height(v, where="critical value", position=i)
     if n % 2 == 0:
         raise EvenLength(f"need an odd number of critical values, got {n}")
     if n < 3:
         raise TooShort(f"need at least 3 critical values, got {n}")
-    if len(set(vals)) != n:
-        first_at: dict[Height, int] = {}
-        for i, v in enumerate(vals, 1):
-            if v in first_at:
-                raise DuplicateValue(
-                    f"value {v!r} at position {i} repeats position {first_at[v]}", position=i
-                )
-            first_at[v] = i
-    if not (all(map(operator.lt, vals[0::2], vals[1::2]))
-            and all(map(operator.gt, vals[1::2], vals[2::2]))):
-        for i in range(2, n + 1):
-            prev, cur = vals[i - 2], vals[i - 1]
-            if i % 2 == 0 and not prev < cur:
-                raise NotAlternating(f"position {i} is not a local maximum", position=i)
-            if i % 2 == 1 and not prev > cur:
-                raise NotAlternating(f"position {i} is not a local minimum", position=i)
-    return CriticalSequence(vals)
+    first_at: dict[Height, int] = {}
+    for i, v in enumerate(vals, 1):
+        if v in first_at:
+            raise DuplicateValue(f"value {v!r} at position {i} repeats position {first_at[v]}", position=i)
+        first_at[v] = i
+    for i in range(2, n + 1):
+        prev, cur = vals[i - 2], vals[i - 1]
+        if not (prev < cur if i % 2 == 0 else prev > cur):
+            raise NotAlternating(f"position {i} is not a local {'maximum' if i % 2 == 0 else 'minimum'}", position=i)
+    return _wrap(vals)
+
+
+def _wrap(vals: tuple, _new=object.__new__, _set=CriticalSequence.values.__set__) -> CriticalSequence:
+    # Sets the slot as the frozen dataclass's generated __init__ does, without the call.
+    s = _new(CriticalSequence)
+    _set(s, vals)
+    return s
 
 
 def reduce_breakpoints(points: Sequence[tuple[Height, Height]]) -> CriticalSequence:

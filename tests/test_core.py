@@ -98,6 +98,27 @@ def test_rejects_climb_at_the_end():
         validate_critical_sequence([1, 7, 2, 6, 9])
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, 7, 2],
+        [1.5, 7.25, -2.0],
+        [0, 7.5, -3, 11, 2.5],
+        [v for i in range(299) for v in (i, 1000 + i + 0.5)] + [299],
+        [1.5, 10**400, 2.5],  # accepted by the per-position diagnosis
+        list(IntEnum("H", [("LOW", 1), ("TOP", 7), ("MID", 2)])),
+    ],
+    ids=["ints", "floats", "mixed", "long-mixed", "huge-int", "int-enum"],
+)
+def test_accepted_sequences_keep_the_dataclass_contract(values):
+    s = validate_critical_sequence(values)
+    reference = CriticalSequence(tuple(values))
+    assert type(s) is CriticalSequence and not hasattr(s, "__dict__")
+    assert s == reference and hash(s) == hash(reference) and repr(s) == repr(reference)
+    with pytest.raises(FrozenInstanceError):
+        s.values = (1, 8, 2)
+
+
 def test_rejects_non_number_values():
     with pytest.raises(InvalidDocument):
         validate_critical_sequence([1, "7", 2])

@@ -200,6 +200,44 @@ def test_bulk_validator_matches_reference(values):
     assert _outcome(validate_critical_sequence, values) == _outcome(_reference_validate, values)
 
 
+SPOILS = ["swap", "repeat", math.nan, math.inf, -math.inf, True, False, Level.LOW, Level.HIGH]
+
+
+@st.composite
+def long_critical_values(draw):
+    """Int-only, float-only or mixed wiggle-sorted lists of length 1..301, some spoiled.
+
+    Half the draws stay as drawn (valid whenever the length is odd and at
+    least 3). The others spoil one position, the last one as often as any
+    random one: a swap with the left neighbour, a copy of another entry's
+    value (an int as an int or a float), NaN, an infinity, a bool or an
+    IntEnum member.
+    """
+    n = draw(st.integers(1, 301))
+    kind = draw(st.sampled_from(["int", "float", "mixed"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    ints = rnd.sample(range(-5 * n, 5 * n), n)
+    float_share = {"int": 0, "float": 1, "mixed": 0.5}[kind]
+    values = _wiggle([v + 0.5 if rnd.random() < float_share else v for v in ints])  # v + 0.5 equals no int
+    if draw(st.booleans()):
+        i = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+        spoil = draw(st.sampled_from(SPOILS))
+        if spoil == "swap":
+            values[i - 1], values[i] = values[i], values[i - 1]
+        elif spoil == "repeat":  # an int comes back as an equal int or float
+            w = values[rnd.randrange(n)]
+            values[i] = float(w) if type(w) is int and rnd.random() < 0.5 else w
+        else:
+            values[i] = spoil
+    return values
+
+
+@settings(deadline=None, max_examples=300)
+@given(long_critical_values())
+def test_accept_path_matches_reference_at_every_length(values):
+    assert _outcome(validate_critical_sequence, values) == _outcome(_reference_validate, values)
+
+
 def _reference_all_functions(minima, maxima):
     """The filter over every interleaving that all_functions replaced, kept as the reference."""
     mins = tuple(sorted(minima))

@@ -9,13 +9,15 @@ from persfiber import (
     count_cmts,
     count_merge_trees,
     elder_rule,
+    enumerate_functions,
     enumerate_merge_trees,
     forget_chirality,
     merge_tree_of_sequence,
     validate_barcode,
     validate_critical_sequence,
 )
-from persfiber.core import canonical_form, tree_from_dict, tree_to_dict
+from persfiber import core
+from persfiber.core import EvenLength, canonical_form, tree_from_dict, tree_to_dict
 from persfiber.fiber import same_stratum
 from persfiber.trees import to_dot
 
@@ -90,3 +92,22 @@ def test_enumerate_merge_trees_of_deep_zigzag():
     barcode, _ = barcode_of_sequence(f)
     (tree,) = enumerate_merge_trees(barcode)
     assert canonical_form(tree) == canonical_form(forget_chirality(merge_tree_of_sequence(f)))
+
+
+def test_valid_plain_input_never_reaches_the_diagnosis(monkeypatch):
+    # The whole-tuple checks accept valid int/float input of every length, however long.
+    diagnose = core._diagnose
+    calls = []
+    monkeypatch.setattr(core, "_diagnose", lambda vals, n: calls.append(n) or diagnose(vals, n))
+    n = 6
+    nested = validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
+    assert len(enumerate_functions(nested)) == 3840
+    ints = zigzag(2048)
+    floats = [v + 0.5 for v in ints]
+    mixed = [v + 0.5 if i % 2 else v for i, v in enumerate(ints)]
+    for values in (ints, floats, mixed):
+        assert validate_critical_sequence(values).values == tuple(values)
+    assert calls == []
+    with pytest.raises(EvenLength):  # a failure does take the diagnosis
+        validate_critical_sequence(ints[:-1])
+    assert calls == [4094]
