@@ -493,6 +493,15 @@ def _fold(root: object, kids: Callable, leaf: Callable, join: Callable):
 _children = operator.attrgetter("children")
 
 
+def _encoding(height: Height, chiral: bool, first: tuple = (), second: tuple = ()) -> tuple[Height, str]:
+    """(height, canonical form) of a vertex from its children's; unordered ones go smaller first."""
+    if not first:
+        return height, f"({height_token(height)})"
+    if not chiral and second < first:
+        first, second = second, first
+    return height, f"({height_token(height)} {first[1]} {second[1]})"
+
+
 def _encoder(*, chiral: bool) -> Callable[[Tree], CanonicalEncoding]:
     """canonical_form of many trees that encodes each distinct vertex object once.
 
@@ -506,12 +515,10 @@ def _encoder(*, chiral: bool) -> Callable[[Tree], CanonicalEncoding]:
         return () if id(v) in memo else v.children
 
     def leaf(v: Tree) -> tuple[Height, str]:  # a leaf, or a vertex encoded before
-        return memo[id(v)][1] if id(v) in memo else (v.height, f"({height_token(v.height)})")
+        return memo[id(v)][1] if id(v) in memo else _encoding(v.height, chiral)
 
     def join(v: Tree, first: tuple, second: tuple) -> tuple[Height, str]:
-        if not chiral and second < first:
-            first, second = second, first
-        memo[id(v)] = v, (v.height, f"({height_token(v.height)} {first[1]} {second[1]})")
+        memo[id(v)] = v, _encoding(v.height, chiral, first, second)
         return memo[id(v)][1]
 
     return lambda tree: _fold(tree, kids, leaf, join)[1]
@@ -527,13 +534,8 @@ def canonical_form(tree: Tree) -> CanonicalEncoding:
     if not isinstance(tree, (MergeTree, ChiralMergeTree)):
         raise KindMismatch(f"not a merge tree: {tree!r}")
     chiral = isinstance(tree, ChiralMergeTree)
-
-    def join(v: Tree, first: tuple, second: tuple) -> tuple[Height, str]:
-        if not chiral and second < first:
-            first, second = second, first
-        return v.height, f"({height_token(v.height)} {first[1]} {second[1]})"
-
-    return _fold(tree, _children, lambda v: (v.height, f"({height_token(v.height)})"), join)[1]
+    return _fold(tree, _children, lambda v: _encoding(v.height, chiral),
+                 lambda v, first, second: _encoding(v.height, chiral, first, second))[1]
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:

@@ -5,11 +5,10 @@ Each finite bar j picks a parent bar whose interval strictly contains it and
 attaches there at its death height, splitting the parent's monotone chain;
 chiral plans also pick the side. Multiplying the choice counts gives the
 number of merge trees, and one factor of two per finite bar the number of
-chiral ones. Every realization comes from one builder, `_in_order`, which
-writes its in-order sequence one bar at a time: a prefix shared by many
-results is built once, so the build costs O(N) per result. Functions are
-those sequences on the heights themselves, sorted by value; trees are swept
-from them on bar labels, sharing equal subtrees, and sorted by canonical form.
+chiral ones. Both builders go one bar at a time, so work shared by many
+results is done once. `_in_order` writes functions as in-order sequences on
+the heights, sorted by value. `_trees` hangs chains youngest bar first,
+sharing equal subtrees, and sorts by the canonical form each vertex carries.
 """
 from __future__ import annotations
 
@@ -27,11 +26,10 @@ from .core import (
     MergeTree,
     Tree,
     ValidationError,
-    _encoder,
+    _encoding,
     validate_barcode,
     validate_critical_sequence,
 )
-from .persistence import _sweep
 
 
 class DegenerateBarcode(ValidationError):
@@ -137,44 +135,54 @@ def _check_plan(b: Barcode, plan: AttachmentPlan) -> None:
             raise InvalidPlan(f"parent {k!r} of bar {j} does not strictly contain it", position=j)
 
 
-def _in_order(leaf: Sequence, dead: Sequence, choices: list) -> list[tuple]:
-    """In-order label sequences of every realization the choices allow, in plan order.
+def _in_order(births: Sequence, deaths: Sequence, choices: list) -> list[tuple]:
+    """In-order critical values of every chiral realization the choices allow, in plan order.
 
-    leaf[j - 1] and dead[j - 1] label bar j's leaf and death vertex, all
-    distinct. Bar j on side L of bar k goes in as (leaf, dead) just left of
-    k's leaf, on side R as (dead, leaf) just right of it; bars go in death
-    order, so each lands inside the subtree it hangs in. Each level extends
-    every sequence of the last by every choice of the next bar: a shared
-    prefix is built once, and levels at least double, so O(N) per result.
+    deaths[j - 1] is bar j's death. Bar j on side L of bar k goes in as
+    (birth, death) just left of k's birth, on side R as (death, birth) just
+    right of it; bars go in death order, so each lands inside the subtree it
+    hangs in. Each level extends every sequence by every choice of the next
+    bar: a shared prefix is built once, and levels double, so O(N) per result.
     """
-    level = [(leaf[0],)]
+    level = [(births[0],)]
     for j, (parents, sides) in enumerate(choices, 1):
-        cuts = [(0, (leaf[j], dead[j])) if s == "L" else (1, (dead[j], leaf[j])) for s in sides]
-        at = [leaf[k - 1] for k in parents]
+        cuts = [(0, (births[j], deaths[j])) if s == "L" else (1, (deaths[j], births[j])) for s in sides]
+        at = [births[k - 1] for k in parents]
         level = [seq[:i + r] + pair + seq[i + r:] for seq in level for i in map(seq.index, at) for r, pair in cuts]
     return level
 
 
-def _trees(b: Barcode, choices: list, *, chiral: bool) -> list[Tree]:
-    """The trees of the choices in plan order, each swept from its in-order sequence.
+def _trees(b: Barcode, choices: list, *, chiral: bool, encode: bool) -> list:
+    """The trees the choices allow, in plan order, built chain by chain.
 
-    Bar j is labelled j at its leaf and -j at its death, so tied heights stay
-    apart, and the sweep runs on the labels: -j ascends as the deaths do.
-    Equal subtrees are one object, shared only across the frozen trees, as
-    labels are unique within a tree.
+    A state holds the open chain of each bar not yet hung, at first its leaf.
+    Bars hang youngest first, at their death on bar k's chain: left on side L,
+    else right. Each choice of bar j is outermost, so bar 2 is the most
+    significant digit; the last reuses the old states, so one plan is O(N).
+    Equal joins in a level are one object; encoded chains are (vertex, height, canonical form).
     """
+    if not all(parents for parents, _ in choices):
+        return []  # a bar that no bar strictly contains: nothing realizes b
     kind = ChiralMergeTree if chiral else MergeTree
-    death = (None, *(bar.death for bar in reversed(b.bars)))  # [-j] is the death of bar j
-    memo: dict = {j: kind(h) for j, h in enumerate(b.births, 1)}  # leaf j; (-j, id(left), id(right)) -> join
+    vertex = kind if chiral else lambda height, *children: MergeTree(height, children)
+    leaf, join = ((lambda h: (kind(h), *_encoding(h, chiral)),
+                   lambda h, l, r: (vertex(h, l[0], r[0]), *_encoding(h, chiral, l[1:], r[1:])))
+                  if encode else (kind, vertex))
+    level = [list(map(leaf, b.births))]  # state[j - 1] is bar j's chain; bar j is last
+    for j in range(b.N, 1, -1):
+        death, memo = b.bars[j - 1].death, {}  # (id(left), id(right)) -> their join
 
-    def join(j: int, left: Tree, right: Tree) -> Tree:
-        key = j, id(left), id(right)
-        if key not in memo:  # the memo holds every vertex whose id it keys, so no id is reused
-            memo[key] = kind(death[j], left, right) if chiral else kind(death[j], (left, right))
-        return memo[key]
+        def hang(s: list, k: int, left: bool, death=death, memo=memo) -> list:
+            """Pop bar j's chain off s and hang it on s[k]; inputs predate the level, so none has a freed id."""
+            first, second = (s.pop(), s[k]) if left else (s[k], s.pop())
+            if (key := (id(first), id(second))) not in memo:
+                memo[key] = join(death, first, second)
+            s[k] = memo[key]
+            return s
 
-    return [_sweep(seq, lambda j, _: memo[j], join)
-            for seq in _in_order(range(1, b.N + 1), range(-1, -b.N - 1, -1), choices)]
+        *copied, (k, left) = [(parent - 1, side == "L") for parent in choices[j - 2][0] for side in choices[j - 2][1]]
+        level = [hang(s[:], c, l) for c, l in copied for s in level] + [hang(s, k, left) for s in level]
+    return [s[0] for s in level]
 
 
 def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
@@ -186,7 +194,7 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
     """
     _check_plan(b, plan)
     sides = plan.sides if plan.chiral else ("R",) * len(plan.parents)
-    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral)[0]
+    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral, encode=False)[0]
 
 
 def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
@@ -197,7 +205,7 @@ def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     the formula count exceeds the number of distinct classes. The trees
     share their equal subtrees.
     """
-    return sorted(_trees(b, _choices(b, chiral=False), chiral=False), key=_encoder(chiral=False))
+    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=False), chiral=False, encode=True), key=lambda t: t[2])]
 
 
 def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
@@ -207,7 +215,7 @@ def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
     mirror-symmetric siblings can coincide and the formula count exceeds the
     number of distinct classes. The trees share their equal subtrees.
     """
-    return sorted(_trees(b, _choices(b, chiral=True), chiral=True), key=_encoder(chiral=True))
+    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=True), chiral=True, encode=True), key=lambda t: t[2])]
 
 
 def check_function_realizable(b: Barcode) -> None:

@@ -155,6 +155,13 @@ def nested(n):
     return validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
 
 
+def test_a_bar_no_bar_contains_has_no_tree():
+    # Outside the generic hypotheses the count is zero, and the enumerators agree.
+    b = validate_barcode([(0, 5), (1, 3), (6, 9)], generic=False)
+    assert count_cmts(b) == count_merge_trees(b) == 0
+    assert enumerate_cmts(b) == enumerate_merge_trees(b) == []
+
+
 @pytest.mark.parametrize("enumerate_trees", [enumerate_cmts, enumerate_merge_trees])
 def test_enumerators_build_each_distinct_subtree_once(enumerate_trees):
     trees = enumerate_trees(nested(6))

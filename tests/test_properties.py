@@ -37,7 +37,9 @@ from persfiber.core import (
 from persfiber.fiber import (
     AttachmentPlan,
     _choice_counts,
+    _choices,
     _containers,
+    _trees,
     attachment_plans,
     check_function_realizable,
     containment_poset,
@@ -414,6 +416,18 @@ def test_tree_enumerators_match_the_chain_builder(b):
         expected = sorted((_reference_materialize(b, p) for p in _reference_plans(b, chiral)), key=canonical_form)
         trees = enumerate_trees(b)
         assert trees == expected and _reprs(trees) == _reprs(expected)
+
+
+@settings(deadline=None)
+@given(tied_barcodes())
+def test_built_trees_come_in_plan_order_with_their_canonical_forms(b):
+    # Before the enumerators sort, the i-th tree is the i-th plan's, and each carries its own encoding.
+    for chiral in (False, True):
+        built = _trees(b, _choices(b, chiral=chiral), chiral=chiral, encode=True)
+        expected = [_reference_materialize(b, p) for p in _reference_plans(b, chiral)]
+        trees = [t for t, _, _ in built]
+        assert trees == expected and _reprs(trees) == _reprs(expected)
+        assert [(h, code) for _, h, code in built] == [(t.height, canonical_form(t)) for t in trees]
 
 
 @settings(deadline=None)

@@ -1,5 +1,6 @@
 """The forward direction and the counts on inputs far deeper than the recursion limit."""
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,9 +17,9 @@ from persfiber import (
     validate_barcode,
     validate_critical_sequence,
 )
-from persfiber import core
+from persfiber import core, fiber
 from persfiber.core import EvenLength, canonical_form, tree_from_dict, tree_to_dict
-from persfiber.fiber import same_stratum
+from persfiber.fiber import AttachmentPlan, materialize, same_stratum
 from persfiber.trees import to_dot
 
 K = 10**5
@@ -84,6 +85,25 @@ def test_same_stratum_of_large_nested_barcode():
     n = 1200
     nested = validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
     assert same_stratum(nested, nested)
+
+
+def test_materialize_of_deep_chain_encodes_nothing(monkeypatch):
+    # Every bar on its predecessor, side L: a chain 4,000 deep. Keeping each vertex's encoding takes about 110 MB.
+    def fail(*args):
+        raise AssertionError("materialize wrote a canonical form")
+
+    monkeypatch.setattr(fiber, "_encoding", fail)
+    n = 4000
+    nested = validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
+    plan = AttachmentPlan(tuple(range(1, n)), ("L",) * (n - 1))
+    tracemalloc.start()
+    try:
+        tree = materialize(nested, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert elder_rule(forget_chirality(tree))[0] == nested
 
 
 def test_enumerate_merge_trees_of_deep_zigzag():
