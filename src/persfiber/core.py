@@ -239,7 +239,7 @@ def reduce_breakpoints(points: Sequence[tuple[Height, Height]]) -> CriticalSeque
 # barcodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Half-open bar [birth, death); death == math.inf marks the essential bar.
 
@@ -287,6 +287,7 @@ class Barcode:
 
 
 BarLike = Union[Interval, tuple]
+_BIRTH, _DEATH = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def _unpack_bar(bar: BarLike, i: int) -> tuple[Height, Height]:
@@ -317,8 +318,30 @@ def validate_barcode(
     `distinct_births` additionally: pairwise distinct births (needed to count
     functions rather than trees). Without `generic` only per-bar sanity
     (birth < death) is enforced; such barcodes are containers, not inputs to
-    the counting machinery.
+    the counting machinery. Valid 2-tuples or Intervals of int/float heights
+    pass one conjunction of whole-list checks; the rest takes the per-bar
+    diagnosis, which raises, in this order, InvalidDocument or EmptyBar at the
+    first bad bar, NoInfiniteBar, MultipleInfiniteBars, DuplicateDeath,
+    BarNotContainedInEssential, DuplicateBirth.
     """
+    bars = [(bar.birth, bar.death) if type(bar) is Interval else bar for bar in bars]
+    if bars and set(map(type, bars)) == {tuple} and set(map(len, bars)) == {2}:
+        births = [b for b, _ in bars]
+        deaths = [math.inf if d is None else d for _, d in bars]
+        # Between plain numbers, b < d is False at any NaN and at a +inf birth; min() catches -inf.
+        # Generic: distinct deaths, and the bar alone born lowest is the infinite one.
+        if (set(map(type, births)) <= {int, float} and set(map(type, deaths)) <= {int, float}
+                and all(map(operator.lt, births, deaths)) and -math.inf < (low := min(births))
+                and (not generic or (len(set(deaths)) == len(bars) and births.count(low) == 1
+                                     and deaths[births.index(low)] == math.inf))
+                and (not distinct_births or len(set(births)) == len(bars))):
+            raw = sorted(zip(births, deaths), key=_BIRTH)
+            raw.sort(key=_DEATH, reverse=True)  # as the diagnosis sorts
+            return Barcode(_intervals(raw))
+    return _diagnose_barcode(bars, generic, distinct_births)
+
+
+def _diagnose_barcode(bars: list, generic: bool, distinct_births: bool) -> Barcode:
     raw: list[tuple[Height, Height]] = []
     for i, bar in enumerate(bars, 1):
         birth, death = _unpack_bar(bar, i)
@@ -327,8 +350,8 @@ def validate_barcode(
         raw.append((birth, death))
     # Stable two-pass sort: birth ascending, then death descending. The
     # essential bar (death inf) lands first without arithmetic on heights.
-    raw.sort(key=lambda bd: bd[0])
-    raw.sort(key=lambda bd: bd[1], reverse=True)
+    raw.sort(key=_BIRTH)
+    raw.sort(key=_DEATH, reverse=True)
     if generic:
         essential = [i for i, (_, d) in enumerate(raw, 1) if d == math.inf]
         if not essential:
@@ -353,7 +376,19 @@ def validate_barcode(
                     f"bars {first_at[b]} and {j} share birth {b!r}", position=j
                 )
             first_at[b] = j
-    return Barcode(tuple(Interval(b, d, index=i) for i, (b, d) in enumerate(raw, 1)))
+    return Barcode(_intervals(raw))
+
+
+def _intervals(raw: list, _new=object.__new__, _birth=Interval.birth.__set__,
+               _death=Interval.death.__set__, _index=Interval.index.__set__) -> tuple[Interval, ...]:
+    # Sets the slots as the frozen dataclass's generated __init__ does, without the call.
+    bars = []
+    for i, (b, d) in enumerate(raw, 1):
+        bars.append(bar := _new(Interval))
+        _birth(bar, b)
+        _death(bar, d)
+        _index(bar, i)
+    return tuple(bars)
 
 
 # ---------------------------------------------------------------------------

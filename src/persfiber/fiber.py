@@ -79,21 +79,24 @@ def _choice_counts(b: Barcode) -> list[int]:
     containing bar j are the earlier bars born at or below it, counted by a
     Fenwick tree over birth ranks, minus the earlier bars identical to it.
     """
-    rank = {h: r for r, h in enumerate(sorted(set(b.births)), 1)}
+    births, deaths = [bar.birth for bar in b.bars], [bar.death for bar in b.bars]
+    rank = {h: r for r, h in enumerate(sorted(set(births)), 1)}
     fenwick = [0] * (len(rank) + 1)
-    identical: Counter = Counter()
-    counts = []
-    for bar in b.bars:
-        r = i = rank[bar.birth]
-        below = -identical[bar.birth, bar.death]
-        identical[bar.birth, bar.death] += 1
+    size, counts = len(fenwick), []
+    for r in map(rank.__getitem__, births):
+        i, below = r, 0
         while i:
             below += fenwick[i]
             i &= i - 1
         counts.append(below)
-        while r < len(fenwick):
+        while r < size:
             fenwick[r] += 1
             r += r & -r
+    if len(set(deaths)) < len(deaths):  # only then can two bars be identical
+        identical: Counter = Counter()
+        for j, bar in enumerate(zip(births, deaths)):
+            counts[j] -= identical[bar]
+            identical[bar] += 1
     return counts
 
 

@@ -10,7 +10,6 @@ makes function reconstruction possible. Walks use explicit stacks, in O(n).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import count
 
@@ -66,18 +65,18 @@ def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:
         raise KindMismatch(f"elder_rule takes an unordered MergeTree, got {type(t).__name__}")
     raw: list[tuple[Height, Height]] = []
     survivor: dict[Height, Height] = {}
-
-    # A subtree's value is its smallest leaf; at v the larger of the two dies.
+    leaves: list[Height] = []  # leaf heights in pre-order, as t.leaves() gives them
+    # A subtree's value is its smallest leaf; at v the larger of the two dies, the right one on a tie.
     def join(v: MergeTree, left: Height, right: Height) -> Height:
-        elder, younger = sorted((left, right))
+        elder, younger = (right, left) if right < left else (left, right)
         raw.append((younger, v.height))
         survivor[v.height] = elder
         return elder
 
-    raw.append((_fold(t, _children, operator.attrgetter("height"), join), math.inf))
+    raw.append((_fold(t, _children, lambda v: leaves.append(v.height) or v.height, join), math.inf))
     barcode = validate_barcode(raw, generic=True)
     bar_of_birth = {bar.birth: bar for bar in barcode.bars}
-    leaf_to_bar = {leaf.height: bar_of_birth[leaf.height] for leaf in t.leaves()}
+    leaf_to_bar = {h: bar_of_birth[h] for h in leaves}
     return barcode, ElderDecomposition(leaf_to_bar, survivor)
 
 

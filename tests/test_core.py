@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 from enum import IntEnum
 
@@ -29,6 +31,7 @@ from persfiber.core import (
     Barcode,
     ChiralMergeTree,
     CriticalSequence,
+    Interval,
     MergeTree,
     _encoder,
     barcode_from_dict,
@@ -269,6 +272,34 @@ def test_single_bar_barcode_accepted():
     b = validate_barcode([(4, None)])
     assert b.N == 1
     assert b.bars[0].is_essential
+
+
+Births = IntEnum("Births", [("LOW", 1), ("MID", 2), ("TOP", 3)])  # module level, so pickle finds it
+
+
+@pytest.mark.parametrize(
+    "bars",
+    [
+        [(1, None), (2, 7), (3.5, 6)],
+        [Interval(1, math.inf), Interval(2.5, 7.0), Interval(3, 6)],
+        [[1, None], [2, 7], [3.5, 6]],  # lists take the per-bar diagnosis
+        list(zip(Births, (None, 7, 6))),  # and so do int subclasses
+        [(1.5, None), (10**400, 10**401)],  # a huge int next to a float
+    ],
+    ids=["tuples", "intervals", "lists", "int-enum", "huge-int"],
+)
+def test_accepted_bars_keep_the_dataclass_contract(bars):
+    b = validate_barcode(bars)
+    for i, bar in enumerate(b.bars, 1):
+        reference = Interval(bar.birth, bar.death, index=i)
+        assert type(bar) is Interval and not hasattr(bar, "__dict__")
+        assert bar == reference and hash(bar) == hash(reference) and repr(bar) == repr(reference)
+        with pytest.raises(FrozenInstanceError):
+            bar.birth = 0
+    for back in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert back == b and back is not b
+        assert [(type(x.birth), type(x.death), x.index) for x in back.bars] == [
+            (type(x.birth), type(x.death), x.index) for x in b.bars]
 
 
 # --- canonical forms and isomorphism

@@ -1,4 +1,4 @@
-"""Property tests: the one-pass choice counts, the sweep, the enumerators, materialize, the validator, the oracle and tree ==/hash/repr against their references."""
+"""Property tests: the one-pass choice counts, the sweep, the enumerators, materialize, the validators, the oracle and tree ==/hash/repr against their references."""
 import math
 from dataclasses import field, make_dataclass
 from enum import IntEnum
@@ -20,11 +20,20 @@ from persfiber import (
     validate_critical_sequence,
 )
 from persfiber.core import (
+    Barcode,
+    BarNotContainedInEssential,
     ChiralMergeTree,
     CriticalSequence,
+    DuplicateBirth,
+    DuplicateDeath,
     DuplicateValue,
+    EmptyBar,
     EvenLength,
+    Interval,
+    InvalidDocument,
     MergeTree,
+    MultipleInfiniteBars,
+    NoInfiniteBar,
     NotAlternating,
     TooShort,
     ValidationError,
@@ -238,6 +247,118 @@ def long_critical_values(draw):
 @given(long_critical_values())
 def test_accept_path_matches_reference_at_every_length(values):
     assert _outcome(validate_critical_sequence, values) == _outcome(_reference_validate, values)
+
+
+def _reference_validate_barcode(bars, *, generic=True, distinct_births=False):
+    """The per-bar validator that the whole-list checks front, kept as the reference."""
+    raw = []
+    for i, bar in enumerate(bars, 1):
+        if isinstance(bar, Interval):
+            birth, death = bar.birth, bar.death
+        else:
+            try:
+                birth, death = bar
+            except (TypeError, ValueError):
+                raise InvalidDocument(f"bar {i} is not a (birth, death) pair", position=i) from None
+        _require_height(birth, where=f"bar {i} birth", position=i)
+        if death is None:
+            death = math.inf
+        elif isinstance(death, bool) or not isinstance(death, (int, float)):
+            raise InvalidDocument(f"bar {i} death: expected a number or None, got {death!r}", position=i)
+        elif isinstance(death, float) and math.isnan(death):
+            raise InvalidDocument(f"bar {i} death must not be NaN", position=i)
+        if not birth < death:
+            raise EmptyBar(f"bar {i}: birth {birth!r} is not below death {death!r}", position=i)
+        raw.append((birth, death))
+    raw.sort(key=lambda bd: bd[0])
+    raw.sort(key=lambda bd: bd[1], reverse=True)
+    if generic:
+        essential = [i for i, (_, d) in enumerate(raw, 1) if d == math.inf]
+        if not essential:
+            raise NoInfiniteBar("a generic barcode carries exactly one infinite bar, found none")
+        if len(essential) > 1:
+            raise MultipleInfiniteBars(f"found {len(essential)} infinite bars, expected one")
+        for j in range(2, len(raw)):
+            if raw[j][1] == raw[j - 1][1]:
+                raise DuplicateDeath(f"bars {j} and {j + 1} share death {raw[j][1]!r}", position=j + 1)
+        b1 = raw[0][0]
+        for j, (b, _) in enumerate(raw[1:], 2):
+            if not b1 < b:
+                raise BarNotContainedInEssential(
+                    f"bar {j} is born at {b!r}, not strictly after the essential birth {b1!r}", position=j)
+    if distinct_births:
+        first_at = {}
+        for j, (b, _) in enumerate(raw, 1):
+            if b in first_at:
+                raise DuplicateBirth(f"bars {first_at[b]} and {j} share birth {b!r}", position=j)
+            first_at[b] = j
+    return Barcode(tuple(Interval(b, d, index=i) for i, (b, d) in enumerate(raw, 1)))
+
+
+BAR_ODDITIES = [True, False, math.nan, math.inf, -math.inf, None, "7", 10**400, -(10**400), Level.LOW, Level.HIGH, -0.0]
+
+
+def _twin(w):
+    """An equal float for a small int and an equal int for an integral float; any other value itself."""
+    if type(w) is int and abs(w) < 2**53:
+        return float(w)
+    if type(w) is float and w.is_integer():
+        return int(w)
+    return w
+
+
+@st.composite
+def near_barcodes(draw):
+    """Generic barcodes of mixed int/float heights, mostly as 2-tuples, then a few entries spoiled.
+
+    Births are the lower half of distinct values and deaths the upper half,
+    so the draw is valid before the spoils; the essential death is None or
+    inf. A spoil puts an odd value at a birth or a death (bool, NaN, ±inf,
+    None, str, ±10**400 beside floats, an IntEnum, -0.0); copies another
+    bar's birth or death, or the lowest birth, itself or as its int/float
+    twin (1 and 1.0 tie); swaps a bar's ends; or repeats a bar. Each bar then
+    comes as a tuple, a list, an Interval, or a 1- or 3-tuple.
+    """
+    n = draw(st.integers(0, 8))
+    values = sorted(draw(st.lists(heights, min_size=2 * n, max_size=2 * n, unique=True)))
+    bars = [[b, d] for b, d in zip(values[:n], draw(st.permutations(values[n:])))]
+    if bars:
+        bars[0][1] = draw(st.sampled_from([None, math.inf]))
+    bars = draw(st.permutations(bars))
+    for _ in range(draw(st.integers(0, 3)) if bars else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        end = draw(st.integers(0, 1))
+        kind = draw(st.sampled_from(["odd", "copy", "copy-lowest", "swap", "repeat"]))
+        if kind == "odd":
+            bars[i][end] = draw(st.sampled_from(BAR_ODDITIES))
+        elif kind.startswith("copy"):
+            w, end = (values[0], 0) if kind == "copy-lowest" else (bars[j][draw(st.integers(0, 1))], end)
+            bars[i][end] = _twin(w) if draw(st.booleans()) else w
+        elif kind == "swap":
+            bars[i].reverse()
+        else:
+            bars.append(list(bars[j]))
+    shapes = st.sampled_from(["tuple"] * 6 + ["list", "interval", "1-tuple", "3-tuple"])
+    shape = {"tuple": tuple, "list": list, "interval": lambda bd: Interval(*bd),
+             "1-tuple": lambda bd: (bd[0],), "3-tuple": lambda bd: (*bd, 0)}
+    same = draw(st.sampled_from([None, "tuple", "interval"]))  # one shape for all the bars, or a mix
+    return [shape[same or draw(shapes)](bar) for bar in bars]
+
+
+def _barcode_outcome(validate, bars, **flags):
+    try:
+        b = validate(iter(bars), **flags)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "position", None)
+    return [(type(x), type(x.birth), repr(x.birth), type(x.death), repr(x.death), x.index) for x in b.bars]
+
+
+@settings(deadline=None, max_examples=800)
+@given(near_barcodes())
+def test_barcode_accept_path_matches_reference(bars):
+    for generic, distinct_births in product((True, False), repeat=2):
+        flags = {"generic": generic, "distinct_births": distinct_births}
+        assert _barcode_outcome(validate_barcode, bars, **flags) == _barcode_outcome(_reference_validate_barcode, bars, **flags)
 
 
 def _reference_all_functions(minima, maxima):

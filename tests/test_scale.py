@@ -18,8 +18,8 @@ from persfiber import (
     validate_critical_sequence,
 )
 from persfiber import core, fiber
-from persfiber.core import EvenLength, canonical_form, tree_from_dict, tree_to_dict
-from persfiber.fiber import AttachmentPlan, materialize, same_stratum
+from persfiber.core import DuplicateDeath, EvenLength, canonical_form, tree_from_dict, tree_to_dict
+from persfiber.fiber import AttachmentPlan, check_function_realizable, materialize, same_stratum
 from persfiber.trees import to_dot
 
 K = 10**5
@@ -131,3 +131,24 @@ def test_valid_plain_input_never_reaches_the_diagnosis(monkeypatch):
     with pytest.raises(EvenLength):  # a failure does take the diagnosis
         validate_critical_sequence(ints[:-1])
     assert calls == [4094]
+
+
+def test_valid_barcodes_never_reach_the_diagnosis(monkeypatch):
+    # The whole-list checks accept the forward direction's barcodes, and a barcode's own bars, at any size.
+    diagnose = core._diagnose_barcode
+    calls = []
+    monkeypatch.setattr(core, "_diagnose_barcode", lambda bars, *flags: calls.append(len(bars)) or diagnose(bars, *flags))
+    ints = zigzag(2048)
+    floats = [v + 0.5 for v in ints]
+    mixed = [v + 0.5 if i % 2 else v for i, v in enumerate(ints)]
+    for values in (ints, floats, mixed):
+        f = validate_critical_sequence(values)
+        barcode, _ = barcode_of_sequence(f)
+        assert elder_rule(forget_chirality(merge_tree_of_sequence(f)))[0] == barcode
+        assert sorted(bar.birth for bar in barcode.bars) == sorted(f.minima)
+    n = 6
+    check_function_realizable(validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)]))
+    assert calls == []
+    with pytest.raises(DuplicateDeath):  # a failure does take the diagnosis
+        validate_barcode([(0, None), (1, 5), (2, 5)])
+    assert calls == [3]

@@ -18,6 +18,7 @@ from persfiber.core import (
     MergeTree,
     canonical_form,
     is_isomorphic,
+    tree_from_dict,
 )
 from persfiber.oracle import all_functions
 from persfiber.trees import in_order, to_dot
@@ -102,6 +103,30 @@ def test_elder_decomposition_shape():
         for h, survivor in dec.elder_survivor.items():
             assert survivor < dying_birth[h]
         assert dec.leaf_to_bar[min(f.minima)].is_essential
+
+
+def test_elder_decomposition_lists_the_leaves_in_pre_order():
+    for f in [*small_corpus(), DEEP, seq(1.5, 5, 3, 6.25, 2.0, 7, 4)]:
+        t = forget_chirality(merge_tree_of_sequence(f))
+        _, dec = elder_rule(t)
+        assert list(dec.leaf_to_bar) == [v.height for v in t.leaves()]
+        assert [type(h) for h in dec.leaf_to_bar] == [type(v.height) for v in t.leaves()]
+
+
+@pytest.mark.parametrize("outer_left", [False, True], ids=["inner-first", "inner-last"])
+@pytest.mark.parametrize(
+    "tied, births",
+    [([1, 1.0], [(int, 0), (int, 1), (float, 1.0)]), ([1.0, 1], [(int, 0), (float, 1.0), (int, 1)])],
+    ids=["int-left", "float-left"],
+)
+def test_tied_sibling_leaves_keep_their_types(tied, births, outer_left):
+    # On a tie the left leaf is the elder: it lives on to 10, and the right one dies at 5.
+    inner = {"height": 5, "children": [{"height": h} for h in tied]}
+    kids = [{"height": 0}, inner] if outer_left else [inner, {"height": 0}]
+    b, dec = elder_rule(tree_from_dict({"height": 10, "children": kids}))
+    assert [(type(bar.birth), bar.birth) for bar in b.bars] == births
+    assert [bar.death for bar in b.bars] == [math.inf, 10, 5]
+    assert dec.elder_survivor == {5: tied[0], 10: 0} and type(dec.elder_survivor[5]) is type(tied[0])
 
 
 def test_chiral_elder_map_examples():
