@@ -402,6 +402,8 @@ class _Walks:
     level; these do not, so they work at any depth.
     """
 
+    __slots__ = ()
+
     def vertices(self) -> Iterator["Tree"]:
         stack = [self]
         while stack:
@@ -440,7 +442,7 @@ class _Walks:
         return "".join(out)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class MergeTree(_Walks):
     """Rooted full binary merge tree; the order of `children` carries no meaning.
 
@@ -452,6 +454,11 @@ class MergeTree(_Walks):
     height: Height
     children: tuple["MergeTree", ...] = ()
     _REPR = (", children=())", ", children=(", ", ", "))")  # leaf tail; around and between children
+
+    def __init__(self, height: Height, children: tuple["MergeTree", ...] = ()):
+        _set_height(self, height)
+        _set_children(self, children)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.children) not in (0, 2):
@@ -467,7 +474,7 @@ class MergeTree(_Walks):
         return not self.children
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class ChiralMergeTree(_Walks):
     """Merge tree with a left/right order on the children of every vertex."""
 
@@ -475,6 +482,12 @@ class ChiralMergeTree(_Walks):
     left: "ChiralMergeTree | None" = None
     right: "ChiralMergeTree | None" = None
     _REPR = (", left=None, right=None)", ", left=", ", right=", ")")
+
+    def __init__(self, height: Height, left: "ChiralMergeTree | None" = None, right: "ChiralMergeTree | None" = None):
+        _set_chiral_height(self, height)
+        _set_left(self, left)
+        _set_right(self, right)
+        self.__post_init__()
 
     def __post_init__(self):
         if (self.left is None) != (self.right is None):
@@ -495,6 +508,10 @@ class ChiralMergeTree(_Walks):
         return () if self.left is None else (self.left, self.right)
 
 
+# The trees' __init__ set the slots as the frozen dataclass's generated one would, then check.
+_set_height, _set_children = MergeTree.height.__set__, MergeTree.children.__set__
+_set_chiral_height, _set_left, _set_right = (
+    ChiralMergeTree.height.__set__, ChiralMergeTree.left.__set__, ChiralMergeTree.right.__set__)
 Tree = Union[MergeTree, ChiralMergeTree]
 
 CanonicalEncoding = str

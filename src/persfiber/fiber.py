@@ -73,6 +73,16 @@ def _containers(b: Barcode) -> list[list[int]]:
 
 
 def _choice_counts(b: Barcode) -> list[int]:
+    """mu of every bar 1..N, by one _mu_pass per barcode object; callers must not change the list.
+
+    It is kept in b's instance __dict__, which the frozen Barcode's ==, hash and repr never read.
+    """
+    if "_choice_counts" not in (memo := vars(b)):
+        memo["_choice_counts"] = _mu_pass(b)
+    return memo["_choice_counts"]
+
+
+def _mu_pass(b: Barcode) -> list[int]:
     """mu of every bar 1..N in one O(N log N) pass.
 
     In canonical order (death descending, then birth ascending) the bars
@@ -101,13 +111,13 @@ def _choice_counts(b: Barcode) -> list[int]:
 
 
 def count_merge_trees(b: Barcode) -> int:
-    """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N)."""
-    return math.prod(_choice_counts(b)[1:])
+    """Product of the choice counts over all finite bars (1 for a lone bar, 0 for none); O(N log N)."""
+    return math.prod(_choice_counts(b)[1:]) if b.N else 0
 
 
 def count_cmts(b: Barcode) -> int:
     """Two sides per finite bar on top of the merge-tree count."""
-    return 2 ** (b.N - 1) * count_merge_trees(b)
+    return 2 ** (b.N - 1) * count_merge_trees(b) if b.N else 0
 
 
 def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ...]]]:
@@ -164,8 +174,8 @@ def _trees(b: Barcode, choices: list, *, chiral: bool, encode: bool) -> list:
     significant digit; the last reuses the old states, so one plan is O(N).
     Equal joins in a level are one object; encoded chains are (vertex, height, canonical form).
     """
-    if not all(parents for parents, _ in choices):
-        return []  # a bar that no bar strictly contains: nothing realizes b
+    if not (b.bars and all(parents for parents, _ in choices)):
+        return []  # no bar, or a bar that no bar strictly contains: nothing realizes b
     kind = ChiralMergeTree if chiral else MergeTree
     vertex = kind if chiral else lambda height, *children: MergeTree(height, children)
     leaf, join = ((lambda h: (kind(h), *_encoding(h, chiral)),

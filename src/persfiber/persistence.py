@@ -76,34 +76,18 @@ def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
     return barcode, {pos: index_of_birth[b] for b, pos, _ in raw}
 
 
-def _level_components(f: CriticalSequence, level: Height) -> list[list[int]]:
-    """Components of the sublevel set at `level`, as lists of minimum positions."""
-    comps: list[list[int]] = []
-    cur: list[int] | None = None
-    for i, y in enumerate(f.values, 1):
-        if i % 2 == 1:
-            if y <= level:
-                if cur is None:
-                    cur = []
-                cur.append(i)
-        elif y > level and cur is not None:
-            comps.append(cur)
-            cur = None
-    if cur is not None:
-        comps.append(cur)
-    return comps
-
-
 def rank(f: CriticalSequence, r: Height, t: Height) -> int:
     """Number of components at level t that contain a component at level r.
 
-    Computed by simulating both sublevel sets directly, never via the barcode:
-    a component at t contains some component at r exactly when one of its
-    minima sits at or below r.
+    Computed by simulating both sublevel sets directly, never via the barcode, in
+    one O(n) pass over the minima: a maximum above t closes the component at t on
+    its left, which contains a component at r iff one of its minima is <= r.
     """
     if not r <= t:
         raise BadPair(f"need r <= t, got r={r!r}, t={t!r}")
-    vals = f.values
-    return sum(
-        1 for comp in _level_components(f, t) if any(vals[i - 1] <= r for i in comp)
-    )
+    closed, hit = 0, False
+    for low, high in zip(f.values[0::2], f.values[1::2]):
+        hit = hit or low <= r
+        if high > t:
+            closed, hit = closed + hit, False
+    return closed + (hit or f.values[-1] <= r)

@@ -93,13 +93,15 @@ def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"in_order takes a ChiralMergeTree, got {type(t).__name__}")
     out: list[ChiralMergeTree] = []
-    stack = [(t, False)]  # (vertex, whether its subtrees are already expanded)
+    stack: list = [t]  # vertices still to walk, and (vertex,) for one whose left subtree is done
     while stack:
-        node, expanded = stack.pop()
-        if expanded or node.is_leaf:
+        node = stack.pop()
+        if type(node) is tuple:
+            out.append(node[0])
+        elif node.left is None:
             out.append(node)
         else:
-            stack += ((node.right, False), (node, True), (node.left, False))
+            stack += (node.right, (node,), node.left)
     return out
 
 
@@ -109,6 +111,8 @@ def cmt_to_sequence(t: ChiralMergeTree) -> CriticalSequence:
     Inverse of merge_tree_of_sequence. A lone leaf has no alternating
     realization, hence TooSmall below three vertices.
     """
+    if not isinstance(t, ChiralMergeTree):
+        raise KindMismatch(f"cmt_to_sequence takes a ChiralMergeTree, got {type(t).__name__}")
     vertices = in_order(t)
     if len(vertices) < 3:
         raise TooSmall(f"need at least 3 vertices to realize a function, got {len(vertices)}")

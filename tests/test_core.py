@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -24,6 +25,7 @@ from persfiber import (
     Plateau,
     TooShort,
     forget_chirality,
+    merge_tree_of_sequence,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -302,6 +304,49 @@ def test_accepted_bars_keep_the_dataclass_contract(bars):
             (type(x.birth), type(x.death), x.index) for x in b.bars]
 
 
+SMALL_TREES = [
+    MergeTree(7, (MergeTree(2), MergeTree(3.5, (MergeTree(1), MergeTree(3))))),
+    ChiralMergeTree(7, leaf(2), ChiralMergeTree(3.5, leaf(1), leaf(3))),
+]
+
+
+@pytest.mark.parametrize("tree", SMALL_TREES, ids=["unordered", "chiral"])
+def test_tree_vertices_keep_the_dataclass_contract(tree):
+    assert all(not hasattr(v, "__dict__") for v in tree.vertices())
+    with pytest.raises(FrozenInstanceError):
+        tree.height = 0
+    for back in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), dataclasses.replace(tree)):
+        assert back == tree and back is not tree and hash(back) == hash(tree) and repr(back) == repr(tree)
+        assert [type(v.height) for v in back.vertices()] == [type(v.height) for v in tree.vertices()]
+    assert dataclasses.replace(tree, height=8).height == 8
+    with pytest.raises(InvalidTree, match=r"^child at height 3\.5 not strictly below parent 3$"):
+        dataclasses.replace(tree, height=3)  # replace goes through the same checked __init__
+
+
+def test_trees_build_from_keywords():
+    assert MergeTree(height=3, children=()) == MergeTree(3)
+    assert repr(MergeTree(height=3, children=())) == "MergeTree(height=3, children=())"
+    assert MergeTree(height=7, children=(MergeTree(2), MergeTree(1))) == MergeTree(7, (MergeTree(2), MergeTree(1)))
+    assert ChiralMergeTree(height=3) == ChiralMergeTree(3, None, None)
+    assert ChiralMergeTree(height=7, right=leaf(1), left=leaf(2)) == ChiralMergeTree(7, leaf(2), leaf(1))
+    with pytest.raises(TypeError):
+        MergeTree(7, (), None)
+    with pytest.raises(TypeError):
+        ChiralMergeTree(height=7, children=())
+
+
+def test_every_vertex_the_package_builds_runs_the_checks(monkeypatch):
+    checked = []
+    for cls in (MergeTree, ChiralMergeTree):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda v, _check=original: checked.append(v) or _check(v))
+    t = merge_tree_of_sequence(validate_critical_sequence([3, 9, 1, 8, 2, 7, 0]))
+    u = forget_chirality(t)
+    back = tree_from_dict(tree_to_dict(u))
+    built = [v for tree in (t, u, back) for v in tree.vertices()]
+    assert len(built) == 3 * 7 and {id(v) for v in checked} == {id(v) for v in built}
+
+
 # --- canonical forms and isomorphism
 
 
@@ -344,14 +389,22 @@ def test_is_isomorphic_rejects_mixed_kinds():
 
 
 def test_tree_construction_guards():
-    with pytest.raises(InvalidTree):
-        MergeTree(5, (MergeTree(1),))
-    with pytest.raises(InvalidTree):
-        MergeTree(5, (MergeTree(6), MergeTree(1)))
-    with pytest.raises(InvalidTree):
-        ChiralMergeTree(5, leaf(1), None)
-    with pytest.raises(InvalidTree):
-        ChiralMergeTree(5, leaf(5), leaf(1))
+    # Positional and keyword construction share one checked __init__, with these exact messages.
+    cases = [
+        (lambda: MergeTree(5, (MergeTree(1),)), "a merge tree vertex has 0 or 2 children, got 1"),
+        (lambda: MergeTree(height=5, children=(MergeTree(1), MergeTree(2), MergeTree(3))),
+         "a merge tree vertex has 0 or 2 children, got 3"),
+        (lambda: MergeTree(5, (MergeTree(6), MergeTree(1))), "child at height 6 not strictly below parent 5"),
+        (lambda: MergeTree(5, (MergeTree(1), MergeTree(5.0))), "child at height 5.0 not strictly below parent 5"),
+        (lambda: ChiralMergeTree(5, leaf(1), None), "a chiral vertex has both children or neither"),
+        (lambda: ChiralMergeTree(5, right=leaf(1)), "a chiral vertex has both children or neither"),
+        (lambda: ChiralMergeTree(5, leaf(5), leaf(1)), "child at height 5 not strictly below parent 5"),
+        (lambda: ChiralMergeTree(height=5, left=leaf(1), right=leaf(9)), "child at height 9 not strictly below parent 5"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InvalidTree) as err:
+            build()
+        assert str(err.value) == message
 
 
 # --- JSON documents

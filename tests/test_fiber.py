@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -156,10 +158,39 @@ def nested(n):
 
 
 def test_a_bar_no_bar_contains_has_no_tree():
-    # Outside the generic hypotheses the count is zero, and the enumerators agree.
-    b = validate_barcode([(0, 5), (1, 3), (6, 9)], generic=False)
-    assert count_cmts(b) == count_merge_trees(b) == 0
-    assert enumerate_cmts(b) == enumerate_merge_trees(b) == []
+    # Outside the generic hypotheses the count is zero, and the enumerators agree; so too with no bar at all.
+    for bars in ([(0, 5), (1, 3), (6, 9)], []):
+        b = validate_barcode(bars, generic=False)
+        assert count_cmts(b) == count_merge_trees(b) == 0
+        assert type(count_cmts(b)) is type(count_merge_trees(b)) is int
+        assert enumerate_cmts(b) == enumerate_merge_trees(b) == []
+
+
+def test_a_second_count_reuses_the_choice_counts(monkeypatch):
+    passes = []
+    original = fiber._mu_pass
+
+    def counting(b):
+        passes.append(b)
+        return original(b)
+
+    monkeypatch.setattr(fiber, "_mu_pass", counting)
+    b = nested(6)
+    assert (count_cmts(b), count_merge_trees(b), count_cmts(b)) == (3840, 120, 3840)
+    assert passes == [b]
+    twin = nested(6)  # equal, but another object: it runs its own pass
+    assert count_merge_trees(twin) == 120 and len(passes) == 2 and passes[1] is twin
+
+
+def test_a_counted_barcode_keeps_its_dataclass_contract():
+    counted, fresh = nested(5), nested(5)
+    assert count_cmts(counted) == 384
+    assert counted == fresh and hash(counted) == hash(fresh) and repr(counted) == repr(fresh)
+    assert len({counted, fresh}) == 1 and dataclasses.asdict(counted) == dataclasses.asdict(fresh)
+    for b in (counted, fresh):
+        back = pickle.loads(pickle.dumps(b))
+        assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
+        assert (count_cmts(back), count_merge_trees(back)) == (384, 24)
 
 
 @pytest.mark.parametrize("enumerate_trees", [enumerate_cmts, enumerate_merge_trees])

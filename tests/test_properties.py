@@ -1,4 +1,4 @@
-"""Property tests: the one-pass choice counts, the sweep, the enumerators, materialize, the validators, the oracle and tree ==/hash/repr against their references."""
+"""Property tests: the one-pass choice counts, the sweep, rank, the enumerators, materialize, the validators, the oracle and tree ==/hash/repr against their references."""
 import math
 from dataclasses import field, make_dataclass
 from enum import IntEnum
@@ -16,6 +16,7 @@ from persfiber import (
     enumerate_functions,
     forget_chirality,
     merge_tree_of_sequence,
+    rank,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -117,6 +118,42 @@ def test_merge_tree_round_trip_and_leaf_to_bar(f):
     assert sorted(leaf_to_bar) == list(range(1, len(f) + 1, 2))
     for pos, index in leaf_to_bar.items():
         assert barcode.bars[index - 1].birth == f.values[pos - 1]
+
+
+def _level_components(f, level):
+    """Reference: components of the sublevel set at `level`, as lists of minimum positions."""
+    comps = []
+    cur = None
+    for i, y in enumerate(f.values, 1):
+        if i % 2 == 1:
+            if y <= level:
+                if cur is None:
+                    cur = []
+                cur.append(i)
+        elif y > level and cur is not None:
+            comps.append(cur)
+            cur = None
+    if cur is not None:
+        comps.append(cur)
+    return comps
+
+
+def _reference_rank(f, r, t):
+    """Reference: components at level t that hold a minimum at or below r, from the full listing."""
+    return sum(1 for comp in _level_components(f, t) if any(f.values[i - 1] <= r for i in comp))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_rank_matches_the_component_listing(data):
+    f = data.draw(sequences())
+    cuts = sorted(set(f.values))
+    between = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[0] - 1, cuts[-1] + 1]
+    level = st.sampled_from(cuts + between + [-math.inf, math.inf])
+    r, t = sorted((data.draw(level), data.draw(level)))
+    if data.draw(st.booleans()):
+        t = r
+    assert rank(f, r, t) == _reference_rank(f, r, t)
 
 
 # A barcode swept from a sequence is realizable by a function; 11 values are N = 6 bars.

@@ -14,6 +14,7 @@ from persfiber import (
     enumerate_merge_trees,
     forget_chirality,
     merge_tree_of_sequence,
+    rank,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -44,6 +45,10 @@ def test_forward_round_trip_on_deep_zigzag(mirrored):
     # Staggered bars: only the essential bar contains each finite one.
     assert count_merge_trees(barcode) == 1
     assert count_cmts(barcode) == 2 ** (K - 1)
+    # At t = K + K//4 the maxima K..t join the minima 0..K//4 + 1 into one component, and every
+    # later minimum is alone (mirrored: the same, from the right). Of those, the joined one and
+    # the K//2 - K//4 - 1 lone minima from K//4 + 2 to r = K//2 hold a minimum at or below r.
+    assert rank(f, K // 2, K + K // 4) == 1 + (K // 2 - K // 4 - 1)
 
 
 def preorder(t):

@@ -211,8 +211,14 @@ def test_reconstruction_needs_three_vertices():
 
 
 def test_in_order_rejects_unordered_input():
-    with pytest.raises(KindMismatch):
+    with pytest.raises(KindMismatch, match="^in_order takes a ChiralMergeTree, got MergeTree$"):
         in_order(MergeTree(5))
+
+
+def test_reconstruction_names_itself_on_unordered_input():
+    with pytest.raises(KindMismatch) as err:
+        cmt_to_sequence(MergeTree(5))
+    assert str(err.value) == "cmt_to_sequence takes a ChiralMergeTree, got MergeTree"
 
 
 # --- dot output
