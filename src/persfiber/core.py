@@ -554,28 +554,6 @@ def _encoding(height: Height, chiral: bool, first: tuple = (), second: tuple = (
     return height, f"({height_token(height)} {first[1]} {second[1]})"
 
 
-def _encoder(*, chiral: bool) -> Callable[[Tree], CanonicalEncoding]:
-    """canonical_form of many trees that encodes each distinct vertex object once.
-
-    With chiral=False children are unordered, as after forget_chirality. The
-    memo holds every vertex it keys by id, and every encoding: far more than
-    canonical_form's fold keeps for one deep tree.
-    """
-    memo: dict[int, tuple] = {}  # id(vertex) -> (vertex, (height, encoding))
-
-    def kids(v: Tree) -> tuple:
-        return () if id(v) in memo else v.children
-
-    def leaf(v: Tree) -> tuple[Height, str]:  # a leaf, or a vertex encoded before
-        return memo[id(v)][1] if id(v) in memo else _encoding(v.height, chiral)
-
-    def join(v: Tree, first: tuple, second: tuple) -> tuple[Height, str]:
-        memo[id(v)] = v, _encoding(v.height, chiral, first, second)
-        return memo[id(v)][1]
-
-    return lambda tree: _fold(tree, kids, leaf, join)[1]
-
-
 def canonical_form(tree: Tree) -> CanonicalEncoding:
     """Nested parenthesized encoding; equal encodings iff isomorphic trees.
 

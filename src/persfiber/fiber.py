@@ -127,6 +127,8 @@ def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ..
 
 def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
     """All plans, death-descending / parent-index / left-before-right."""
+    if not b.N:
+        return []  # product() of no choices is one empty plan, but no tree realizes an empty barcode
     per_bar = [[(k, s) for k in parents for s in sides] for parents, sides in _choices(b, chiral=chiral)]
     return [AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo) if chiral else None)
             for combo in product(*per_bar)]
@@ -165,22 +167,25 @@ def _in_order(births: Sequence, deaths: Sequence, choices: list) -> list[tuple]:
     return level
 
 
-def _trees(b: Barcode, choices: list, *, chiral: bool, encode: bool) -> list:
+def _trees(b: Barcode, choices: list, *, chiral: bool, form: str | None = None) -> list:
     """The trees the choices allow, in plan order, built chain by chain.
 
     A state holds the open chain of each bar not yet hung, at first its leaf.
     Bars hang youngest first, at their death on bar k's chain: left on side L,
     else right. Each choice of bar j is outermost, so bar 2 is the most
     significant digit; the last reuses the old states, so one plan is O(N).
-    Equal joins in a level are one object; encoded chains are (vertex, height, canonical form).
+    Equal joins in a level are one object. With form "chiral" or "unordered"
+    each chain is (vertex, height, that canonical form), written once per
+    vertex; a chiral tree's unordered form is that of its forget_chirality.
     """
     if not (b.bars and all(parents for parents, _ in choices)):
         return []  # no bar, or a bar that no bar strictly contains: nothing realizes b
     kind = ChiralMergeTree if chiral else MergeTree
     vertex = kind if chiral else lambda height, *children: MergeTree(height, children)
-    leaf, join = ((lambda h: (kind(h), *_encoding(h, chiral)),
-                   lambda h, l, r: (vertex(h, l[0], r[0]), *_encoding(h, chiral, l[1:], r[1:])))
-                  if encode else (kind, vertex))
+    ordered = form == "chiral"
+    leaf, join = ((lambda h: (kind(h), *_encoding(h, ordered)),
+                   lambda h, l, r: (vertex(h, l[0], r[0]), *_encoding(h, ordered, l[1:], r[1:])))
+                  if form else (kind, vertex))
     level = [list(map(leaf, b.births))]  # state[j - 1] is bar j's chain; bar j is last
     for j in range(b.N, 1, -1):
         death, memo = b.bars[j - 1].death, {}  # (id(left), id(right)) -> their join
@@ -207,7 +212,7 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
     """
     _check_plan(b, plan)
     sides = plan.sides if plan.chiral else ("R",) * len(plan.parents)
-    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral, encode=False)[0]
+    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral)[0]
 
 
 def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
@@ -218,7 +223,8 @@ def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     the formula count exceeds the number of distinct classes. The trees
     share their equal subtrees.
     """
-    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=False), chiral=False, encode=True), key=lambda t: t[2])]
+    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=False), chiral=False, form="unordered"),
+                                  key=lambda t: t[2])]
 
 
 def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
@@ -228,7 +234,7 @@ def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
     mirror-symmetric siblings can coincide and the formula count exceeds the
     number of distinct classes. The trees share their equal subtrees.
     """
-    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=True), chiral=True, encode=True), key=lambda t: t[2])]
+    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=True), chiral=True, form="chiral"), key=lambda t: t[2])]
 
 
 def check_function_realizable(b: Barcode) -> None:

@@ -1,14 +1,15 @@
 """Brute-force ground truth for the counting and enumeration machinery.
 
 all_functions and brute_fiber know nothing about attachment plans, counting
-formulas or the sublevel sweep: they generate only the alternating
-arrangements of the given values, pass each through the sequence validator,
-and group them by barcode, paired off by the oracle's own elder pairing.
-verify() is the one place the routes meet. It generates the candidates once,
-pairs each of them once, builds one barcode per group, and reports the
-formula, the plan enumeration and the brute force side by side; its
-partition check compares the size of every fiber that arises from b's
-critical values with the counting formula.
+formulas or the sublevel sweep: walking the orders of the maxima, they
+generate only the alternating arrangements of the given values, pass each
+through the sequence validator, and group them by barcode, paired off by the
+oracle's own elder pairing. verify() is the one place the routes meet. It
+generates the candidates once, pairs each of them once, builds one barcode
+per group, and reports the formula, the plan enumeration and the brute force
+side by side; its partition check compares the size of every fiber that
+arises from b's critical values with the counting formula. Its merge-tree
+dedup reads the unordered form the chiral build writes on each vertex.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .core import (
     DuplicateValue,
     Height,
     ValidationError,
-    _encoder,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -43,10 +43,12 @@ class ScaleCapExceeded(ValidationError):
 def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[CriticalSequence]:
     """Every valid critical sequence using the given values, sorted.
 
-    For each order pm of the minima, maximum slot i needs a value above
-    pm[i] and pm[i + 1]. Filled from the most demanding slot down, each slot
-    takes one of the maxima above its need less those already placed, so the
-    choices form a mixed-radix product of only the alternating interleavings.
+    For each order px of the maxima, minimum slot j lies between px[j - 1]
+    and px[j] (the end slots beside one maximum) and needs a value below
+    both. Filled from the most demanding slot down, the one with the lowest
+    neighbour first, each slot takes one of the minima below its neighbours
+    less those already placed, so the choices form a mixed-radix product of
+    only the alternating interleavings: (k - 1)! orders, not k!.
     """
     mins = tuple(sorted(minima))
     maxs = tuple(sorted(maxima))
@@ -60,15 +62,16 @@ def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[Cr
     if len(set(pool)) != len(pool):
         raise DuplicateValue("minima and maxima must be pairwise distinct overall")
     raws: list[tuple[Height, ...]] = []
-    for pm in permutations(mins):
-        order = sorted(range(len(maxs)), key=lambda i: max(pm[i], pm[i + 1]), reverse=True)
-        placed: list[tuple[Height, ...]] = [()]  # maxima chosen so far, in `order`
-        for slot in order:
-            above = [x for x in maxs if x > pm[slot] and x > pm[slot + 1]]
-            placed = [p + (x,) for p in placed for x in above if x not in p]
-        # the sequence interleaves pm with p, whose maxima are listed in `order`
-        at = [i // 2 if i % 2 == 0 else len(pm) + order.index(i // 2) for i in range(len(pool))]
-        raws += map(itemgetter(*at), (pm + p for p in placed))
+    for px in permutations(maxs):
+        beside = list(zip((px[0],) + px, px + (px[-1],)))  # the maxima left and right of each minimum slot
+        order = sorted(range(len(mins)), key=lambda j: min(beside[j]))
+        placed: list[tuple[Height, ...]] = [()]  # minima chosen so far, in `order`
+        for left, right in map(beside.__getitem__, order):
+            below = [x for x in mins if x < left and x < right]
+            placed = [p + (x,) for p in placed for x in below if x not in p]
+        # the sequence interleaves p, whose minima are listed in `order`, with px
+        at = [order.index(i // 2) if i % 2 == 0 else len(mins) + i // 2 for i in range(len(pool))]
+        raws += map(itemgetter(*at), (p + px for p in placed))
     raws.sort()
     return [validate_critical_sequence(v) for v in raws]
 
@@ -124,16 +127,17 @@ def verify(b: Barcode) -> dict:
     critical values is refused before any tree is built. Its candidates are
     generated once and paired once; grouped by barcode, they give both b's
     brute fiber and the partition check: every barcode arising from b's
-    critical values a has exactly count_cmts(a) functions. The dedup reads
-    only the enumerated trees, encoding each shared subtree once, unordered.
+    critical values a has exactly count_cmts(a) functions. The chiral trees
+    are built once, each vertex written with its unordered canonical form, so
+    the dedup counts the distinct forms of the roots without another walk.
     """
     groups = _fibers(b.births, b.finite_deaths)
     brute = groups.get(b, [])
     partition_check = all(len(fs) == fiber.count_cmts(a) for a, fs in groups.items())
 
-    cmts = fiber.enumerate_cmts(b)
+    cmts = fiber._trees(b, fiber._choices(b, chiral=True), chiral=True, form="unordered")
     mts = fiber.enumerate_merge_trees(b)
-    dedup = len(set(map(_encoder(chiral=False), cmts)))
+    dedup = len({code for _, _, code in cmts})
     formula_cmt = fiber.count_cmts(b)
     formula_mt = fiber.count_merge_trees(b)
     return {

@@ -1,5 +1,7 @@
+import decimal
 import io
 import json
+import math
 
 import pytest
 
@@ -92,6 +94,19 @@ def test_count_command_modes(write, capsys):
     assert run(capsys, ["count", path]) == (0, "48\n", "")  # chiral is the default
     assert run(capsys, ["count", "--merge-trees", path]) == (0, "6\n", "")
     assert run(capsys, ["count", "--functions", path]) == (0, "48\n", "")
+
+
+@pytest.mark.parametrize("mode, n, digits", [
+    ("--merge-trees", 1559, 4300), ("--merge-trees", 1560, 4303), ("--merge-trees", 1601, 4434),
+    ("--chiral", 1424, 4300), ("--chiral", 1425, 4303),
+])
+def test_count_prints_counts_past_the_int_digit_limit(write, capsys, mode, n, digits):
+    # str() refuses an int of more than 4,300 digits; nested N counts (N-1)! merge trees, 2^(N-1) (N-1)! chiral ones
+    doc = {"bars": [{"birth": 0, "death": None}] + [{"birth": i, "death": 2 * n - i} for i in range(1, n)]}
+    code, out, err = run(capsys, ["count", mode, write(doc)])
+    assert (code, err) == (0, "")
+    expected = math.factorial(n - 1) * (2 ** (n - 1) if mode == "--chiral" else 1)
+    assert len(out.strip()) == digits and decimal.Decimal(out.strip()) == expected
 
 
 def test_enumerate_functions_command(write, capsys):

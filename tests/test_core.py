@@ -35,7 +35,6 @@ from persfiber.core import (
     CriticalSequence,
     Interval,
     MergeTree,
-    _encoder,
     barcode_from_dict,
     barcode_to_dict,
     canonical_form,
@@ -369,18 +368,6 @@ def test_canonical_form_keeps_chirality():
     assert canonical_form(a) == "(7 (1) (2))"
     assert canonical_form(b) == "(7 (2) (1))"
     assert not is_isomorphic(a, b)
-
-
-def test_encoder_matches_canonical_form_on_shared_subtrees():
-    # one subtree object twice in a tree and again in the next trees: later visits read its first encoding
-    t = MergeTree(3, (MergeTree(2), MergeTree(1)))
-    c = ChiralMergeTree(3, leaf(2), leaf(1))
-    unordered = [MergeTree(5, (t, t)), MergeTree(6, (MergeTree(0), t)), t]
-    chiral = [ChiralMergeTree(5, c, c), ChiralMergeTree(6, leaf(0), c), c]
-    assert list(map(_encoder(chiral=False), unordered)) == list(map(canonical_form, unordered))
-    assert list(map(_encoder(chiral=True), chiral)) == list(map(canonical_form, chiral))
-    assert list(map(_encoder(chiral=False), chiral)) == [canonical_form(forget_chirality(x)) for x in chiral]
-    assert _encoder(chiral=False)(chiral[0]) == "(5 (3 (1) (2)) (3 (1) (2)))"
 
 
 def test_is_isomorphic_rejects_mixed_kinds():

@@ -164,6 +164,7 @@ def test_a_bar_no_bar_contains_has_no_tree():
         assert count_cmts(b) == count_merge_trees(b) == 0
         assert type(count_cmts(b)) is type(count_merge_trees(b)) is int
         assert enumerate_cmts(b) == enumerate_merge_trees(b) == []
+        assert attachment_plans(b, chiral=True) == attachment_plans(b, chiral=False) == []
 
 
 def test_a_second_count_reuses_the_choice_counts(monkeypatch):

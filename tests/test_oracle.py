@@ -175,9 +175,10 @@ def test_partition_check_fails_when_a_fiber_size_is_off(monkeypatch):
 
 
 def test_verify_refuses_before_building_trees(monkeypatch):
-    def fail(b):
+    def fail(*args, **kwargs):
         raise AssertionError("verify built trees before refusing")
 
+    monkeypatch.setattr(oracle.fiber, "_trees", fail)
     monkeypatch.setattr(oracle.fiber, "enumerate_cmts", fail)
     monkeypatch.setattr(oracle.fiber, "enumerate_merge_trees", fail)
     with pytest.raises(ScaleCapExceeded):

@@ -4,6 +4,7 @@ from dataclasses import field, make_dataclass
 from enum import IntEnum
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,6 @@ from persfiber.core import (
     NotAlternating,
     TooShort,
     ValidationError,
-    _encoder,
     _require_height,
     canonical_form,
     tree_from_dict,
@@ -443,6 +443,30 @@ def test_all_functions_matches_the_interleaving_filter(split):
     assert _typed(all_functions(*split)) == _typed(_reference_all_functions(*split))
 
 
+def _generated(generate, split):
+    """The typed values generate(*split) returns, or the class and message of its refusal."""
+    try:
+        return _typed(generate(*split))
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("split", [
+    ([math.nan, 1], [5]), ([1, 2, 3], [math.nan, 9]), ([1, 2, 3], [9, math.nan]),  # NaN orders against nothing
+    ([-math.inf, 1], [5]), ([1, 2], [math.inf]), ([-math.inf, 1, 2], [math.inf, 5]),  # the validator refuses these
+    ([math.inf, 1], [5]), ([1, 2], [-math.inf]), ([1, 2, 3], [math.inf, -math.inf]),  # no arrangement alternates
+    ([-math.inf, 2.0, 1], [3.5, 7]),
+])
+def test_all_functions_matches_the_interleaving_filter_on_values_hypothesis_does_not_draw(split):
+    assert _generated(all_functions, split) == _generated(_reference_all_functions, split)
+
+
+@pytest.mark.parametrize("split", [([0.0, -0.0], [3]), ([-0.0, 1], [0.0]), ([2, 1], [2.0]), ([2.0, 1, 2], [5, 6])])
+def test_all_functions_refuses_equal_values_of_two_types(split):
+    # The reference has no up-front check and may find nothing instead, so the refusal itself is pinned.
+    assert _generated(all_functions, split) == (DuplicateValue, "minima and maxima must be pairwise distinct overall")
+
+
 @settings(deadline=None)
 @given(critical_values())
 def test_fibers_match_grouping_by_sweep_barcode(split):
@@ -581,7 +605,7 @@ def test_tree_enumerators_match_the_chain_builder(b):
 def test_built_trees_come_in_plan_order_with_their_canonical_forms(b):
     # Before the enumerators sort, the i-th tree is the i-th plan's, and each carries its own encoding.
     for chiral in (False, True):
-        built = _trees(b, _choices(b, chiral=chiral), chiral=chiral, encode=True)
+        built = _trees(b, _choices(b, chiral=chiral), chiral=chiral, form="chiral" if chiral else "unordered")
         expected = [_reference_materialize(b, p) for p in _reference_plans(b, chiral)]
         trees = [t for t, _, _ in built]
         assert trees == expected and _reprs(trees) == _reprs(expected)
@@ -591,9 +615,13 @@ def test_built_trees_come_in_plan_order_with_their_canonical_forms(b):
 @settings(deadline=None)
 @given(tied_barcodes())
 def test_dedup_is_the_canonical_form_of_each_forgotten_tree(b):
-    cmts = enumerate_cmts(b)
+    # The chiral build writes each shared vertex's unordered form once; every tree must still read its own.
+    built = _trees(b, _choices(b, chiral=True), chiral=True, form="unordered")
+    cmts = [t for t, _, _ in built]
     expected = [canonical_form(forget_chirality(t)) for t in cmts]
-    assert list(map(_encoder(chiral=False), cmts)) == expected
+    assert [code for _, _, code in built] == expected
+    assert [h for _, h, _ in built] == [t.height for t in cmts]
+    assert sorted(cmts, key=canonical_form) == enumerate_cmts(b)
     try:
         check_function_realizable(b)  # exactly the barcodes verify accepts, up to its cap
     except ValidationError:
