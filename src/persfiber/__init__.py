@@ -7,8 +7,8 @@ realizes a given barcode, with a brute-force oracle to check the formulas
 against.
 
 The top level holds the pipeline and every ValidationError subclass; the
-rest (value classes, JSON codecs, attachment plans, strata, the brute force
-itself) is imported from its own module.
+rest (value classes, JSON codecs, attachment plans, the containment poset
+`fiber.containers`, strata, the brute force) is imported from its own module.
 """
 from .core import (
     BarNotContainedInEssential,

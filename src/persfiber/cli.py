@@ -128,8 +128,8 @@ def cmd_strata(args: argparse.Namespace) -> int:
     b2 = barcode_from_dict(_load(args.barcode2))
     out = {"same_stratum": fiber.same_stratum(b1, b2), "posets": []}
     for b in (b1, b2):
-        poset = fiber.containment_poset(b)
-        out["posets"].append({"n": poset.n, "relations": sorted(list(p) for p in poset.relation)})
+        relations = [[j, k] for j, ks in enumerate(fiber.containers(b), 1) for k in ks]
+        out["posets"].append({"n": b.N, "relations": relations})
     _emit(out)
     return 0
 

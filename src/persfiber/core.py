@@ -222,11 +222,9 @@ def reduce_breakpoints(points: Sequence[tuple[Height, Height]]) -> CriticalSeque
         if ys[i - 1] == ys[i]:
             raise Plateau(f"equal y at breakpoints {i} and {i + 1}", position=i + 1)
     reduced = [ys[0]]
-    for i in range(1, len(ys) - 1):
-        down_in = ys[i] < ys[i - 1]
-        down_out = ys[i + 1] < ys[i]
-        if down_in != down_out:  # strict local extremum
-            reduced.append(ys[i])
+    for prev, y, nxt in zip(ys, ys[1:], ys[2:]):
+        if (y < prev) != (nxt < y):  # strict local extremum
+            reduced.append(y)
     reduced.append(ys[-1])
     if not reduced[0] < reduced[1]:
         raise BoundaryNotMin("left endpoint is a local maximum", position=1)
@@ -514,8 +512,6 @@ _set_chiral_height, _set_left, _set_right = (
     ChiralMergeTree.height.__set__, ChiralMergeTree.left.__set__, ChiralMergeTree.right.__set__)
 Tree = Union[MergeTree, ChiralMergeTree]
 
-CanonicalEncoding = str
-
 
 def _fold(root: object, kids: Callable, leaf: Callable, join: Callable):
     """Fold a binary tree bottom-up with an explicit stack, so at any depth.
@@ -554,7 +550,7 @@ def _encoding(height: Height, chiral: bool, first: tuple = (), second: tuple = (
     return height, f"({height_token(height)} {first[1]} {second[1]})"
 
 
-def canonical_form(tree: Tree) -> CanonicalEncoding:
+def canonical_form(tree: Tree) -> str:
     """Nested parenthesized encoding; equal encodings iff isomorphic trees.
 
     Chiral trees encode verbatim as "(h left right)". Unordered trees sort the
@@ -568,30 +564,18 @@ def canonical_form(tree: Tree) -> CanonicalEncoding:
                  lambda v, first, second: _encoding(v.height, chiral, first, second))[1]
 
 
-def is_isomorphic(t1: Tree, t2: Tree) -> bool:
-    """Isomorphism test in the matching category; mixed kinds are an error."""
-    if not isinstance(t1, (MergeTree, ChiralMergeTree)):
-        raise KindMismatch(f"not a merge tree: {t1!r}")
-    if type(t1) is not type(t2):
-        raise KindMismatch(f"cannot compare {type(t1).__name__} with {type(t2).__name__}")
-    return canonical_form(t1) == canonical_form(t2)
-
-
 # ---------------------------------------------------------------------------
 # JSON documents
 
 
-def sequence_to_dict(s: CriticalSequence) -> dict:
-    return {"critical_values": list(s.values)}
-
-
 def sequence_from_dict(doc: object) -> CriticalSequence:
-    if not isinstance(doc, dict) or set(doc) != {"critical_values"}:
-        raise InvalidDocument('expected an object with the single key "critical_values"')
-    vals = doc["critical_values"]
+    """Decode {"critical_values": [...]}, or the {"breakpoints": [[x, y], ...]} graph reconstruct writes."""
+    if not isinstance(doc, dict) or len(doc) != 1 or not doc.keys() <= {"critical_values", "breakpoints"}:
+        raise InvalidDocument('expected an object with the single key "critical_values" or "breakpoints"')
+    (key, vals), = doc.items()
     if not isinstance(vals, list):
-        raise InvalidDocument('"critical_values" must be an array')
-    return validate_critical_sequence(vals)
+        raise InvalidDocument(f'"{key}" must be an array')
+    return validate_critical_sequence(vals) if key == "critical_values" else reduce_breakpoints(vals)
 
 
 def barcode_to_dict(b: Barcode) -> dict:

@@ -56,19 +56,8 @@ class AttachmentPlan:
         return self.sides is not None
 
 
-@dataclass(frozen=True)
-class ContainmentPoset:
-    """Strict containment among the bars of one barcode, on indices 1..n."""
-
-    n: int
-    relation: frozenset[tuple[int, int]]  # (j, k) present iff bar j inside bar k
-
-    def less(self, j: int, k: int) -> bool:
-        return (j, k) in self.relation
-
-
-def _containers(b: Barcode) -> list[list[int]]:
-    """For every bar, the ascending indices of the bars strictly containing it; O(N^2)."""
+def containers(b: Barcode) -> list[list[int]]:
+    """For every bar, the ascending indices of the bars strictly containing it: the containment poset; O(N^2)."""
     return [[k.index for k in b.bars if k.strictly_contains(j)] for j in b.bars]
 
 
@@ -122,7 +111,7 @@ def count_cmts(b: Barcode) -> int:
 
 def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ...]]]:
     """Per finite bar, the bars that may carry it and its sides; unordered plans are chiral ones all R."""
-    return [(parents, ("L", "R") if chiral else ("R",)) for parents in _containers(b)[1:]]
+    return [(parents, ("L", "R") if chiral else ("R",)) for parents in containers(b)[1:]]
 
 
 def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
@@ -265,17 +254,14 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     return [validate_critical_sequence(seq) for seq in level]
 
 
-def containment_poset(b: Barcode) -> ContainmentPoset:
-    """Strict-containment relation among all bars; the essential bar is the top."""
-    rel = {(j, k) for j, ks in enumerate(_containers(b), 1) for k in ks}
-    return ContainmentPoset(b.N, frozenset(rel))
-
-
-def _signatures(p: ContainmentPoset) -> dict[int, tuple[int, int]]:
-    """(bars above, bars below) of every bar, counted from the relation in O(|relation|)."""
-    above = Counter(j for j, _ in p.relation)
-    below = Counter(k for _, k in p.relation)
-    return {j: (above[j], below[j]) for j in range(1, p.n + 1)}
+def _up_down(b: Barcode) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """Per bar j, the indices of the bars strictly containing it and of those it strictly contains."""
+    up = {j: set(ks) for j, ks in enumerate(containers(b), 1)}
+    down: dict[int, set[int]] = {j: set() for j in up}
+    for j, ks in up.items():
+        for k in ks:
+            down[k].add(j)
+    return up, down
 
 
 def same_stratum(b1: Barcode, b2: Barcode) -> bool:
@@ -284,10 +270,11 @@ def same_stratum(b1: Barcode, b2: Barcode) -> bool:
     Brute-force search over index bijections, pruned by (above, below)
     count signatures; the essential indices must correspond.
     """
-    p1, p2 = containment_poset(b1), containment_poset(b2)
-    if p1.n != p2.n:
+    if b1.N != b2.N:
         return False
-    sig1, sig2 = _signatures(p1), _signatures(p2)
+    (up1, down1), (up2, down2) = _up_down(b1), _up_down(b2)
+    sig1 = {j: (len(up1[j]), len(down1[j])) for j in up1}
+    sig2 = {j: (len(up2[j]), len(down2[j])) for j in up2}
     if sorted(sig1.values()) != sorted(sig2.values()):
         return False
 
@@ -295,14 +282,16 @@ def same_stratum(b1: Barcode, b2: Barcode) -> bool:
     used = {1}
 
     def images(j: int) -> Iterator[int]:
-        """The unused bars of b2 that bar j of b1 can map to, given the bars assigned before it."""
-        return (c for c in range(2, p2.n + 1) if c not in used and sig2[c] == sig1[j] and all(
-            p1.less(j, other) == p2.less(c, img) and p1.less(other, j) == p2.less(img, c)
-            for other, img in assigned.items()))
+        """The unused bars c of b2 whose used bars above and below are the images of those of bar j of b1."""
+        up = {assigned[k] for k in up1[j] if k in assigned}
+        down = {assigned[k] for k in down1[j] if k in assigned}
+        for c in range(2, b2.N + 1):
+            if c not in used and sig2[c] == sig1[j] and up2[c] & used == up and down2[c] & used == down:
+                yield c
 
     # Backtracking on a stack: tries[-1] yields the images left for bar len(tries) + 1.
     tries = [images(2)]
-    while 0 < len(tries) < p1.n:
+    while 0 < len(tries) < b1.N:
         j = len(tries) + 1
         cand = next(tries[-1], None)
         if cand is None:

@@ -7,6 +7,7 @@ import pytest
 
 from persfiber.core import barcode_from_dict, sequence_from_dict, tree_from_dict
 from persfiber.cli import main
+from persfiber.oracle import all_functions
 
 FN = {"critical_values": [1, 7, 2]}
 BC2 = {"bars": [{"birth": 1, "death": None}, {"birth": 2, "death": 7}]}
@@ -160,6 +161,21 @@ def test_reconstruct_command(write, capsys):
     code, out, _ = run(capsys, ["reconstruct", write(doc)])
     assert code == 0
     assert json.loads(out) == {"breakpoints": [[0.0, 1], [0.5, 7], [1.0, 2]]}
+
+
+def small_corpus():
+    for k in (2, 3, 4):
+        yield from all_functions(range(1, k + 1), range(k + 1, 2 * k))
+
+
+def test_reconstruct_reads_back_through_barcode(write, capsys):
+    # tree -> reconstruct -> barcode gives the barcode of the function the tree came from.
+    for f in small_corpus():
+        function = write({"critical_values": list(f.values)}, "f.json")
+        _, tree, _ = run(capsys, ["tree", function])
+        code, graph, err = run(capsys, ["reconstruct", write(json.loads(tree), "t.json")])
+        assert (code, err) == (0, "")
+        assert run(capsys, ["barcode", write(json.loads(graph), "g.json")]) == run(capsys, ["barcode", function])
 
 
 def test_rank_command(write, capsys):

@@ -18,7 +18,6 @@ from persfiber import (
     EvenLength,
     InvalidDocument,
     InvalidTree,
-    KindMismatch,
     MultipleInfiniteBars,
     NoInfiniteBar,
     NotAlternating,
@@ -38,10 +37,8 @@ from persfiber.core import (
     barcode_from_dict,
     barcode_to_dict,
     canonical_form,
-    is_isomorphic,
     reduce_breakpoints,
     sequence_from_dict,
-    sequence_to_dict,
     tree_from_dict,
     tree_to_dict,
 )
@@ -359,7 +356,6 @@ def test_canonical_form_sorts_unordered_children():
     a = MergeTree(7, (MergeTree(2), MergeTree(1)))
     b = MergeTree(7, (MergeTree(1), MergeTree(2)))
     assert canonical_form(a) == canonical_form(b) == "(7 (1) (2))"
-    assert is_isomorphic(a, b)
 
 
 def test_canonical_form_keeps_chirality():
@@ -367,12 +363,6 @@ def test_canonical_form_keeps_chirality():
     b = ChiralMergeTree(7, leaf(2), leaf(1))
     assert canonical_form(a) == "(7 (1) (2))"
     assert canonical_form(b) == "(7 (2) (1))"
-    assert not is_isomorphic(a, b)
-
-
-def test_is_isomorphic_rejects_mixed_kinds():
-    with pytest.raises(KindMismatch):
-        is_isomorphic(MergeTree(5), leaf(5))
 
 
 def test_tree_construction_guards():
@@ -399,16 +389,29 @@ def test_tree_construction_guards():
 
 def test_sequence_document_round_trip():
     s = validate_critical_sequence([1.0, 7.0, 2.0])
-    assert sequence_from_dict(sequence_to_dict(s)) == s
+    assert sequence_from_dict({"critical_values": list(s.values)}) == s
     assert sequence_from_dict({"critical_values": [1, 7, 2]}).values == (1, 7, 2)
 
 
+def test_sequence_document_reads_breakpoints():
+    # The graph reconstruct writes reduces to its critical values, non-extremal points dropped.
+    doc = {"breakpoints": [[0, 1], [0.25, 4], [0.5, 7], [1, 2]]}
+    assert sequence_from_dict(doc).values == (1, 7, 2)
+    with pytest.raises(Plateau):
+        sequence_from_dict({"breakpoints": [[0, 1], [0.5, 7], [0.75, 7], [1, 2]]})
+    with pytest.raises(InvalidDocument, match='^"breakpoints" must be an array$'):
+        sequence_from_dict({"breakpoints": {"x": 0}})
+
+
 def test_sequence_document_shape_errors():
-    with pytest.raises(InvalidDocument):
+    both = '^expected an object with the single key "critical_values" or "breakpoints"$'
+    with pytest.raises(InvalidDocument, match=both):
         sequence_from_dict([1, 7, 2])
-    with pytest.raises(InvalidDocument):
+    with pytest.raises(InvalidDocument, match=both):
         sequence_from_dict({"values": [1, 7, 2]})
-    with pytest.raises(InvalidDocument):
+    with pytest.raises(InvalidDocument, match=both):
+        sequence_from_dict({"critical_values": [1, 7, 2], "breakpoints": [[0, 1], [0.5, 7], [1, 2]]})
+    with pytest.raises(InvalidDocument, match='^"critical_values" must be an array$'):
         sequence_from_dict({"critical_values": "172"})
 
 
@@ -434,7 +437,7 @@ def test_tree_document_round_trip_both_kinds():
     unordered = MergeTree(7, (MergeTree(1), MergeTree(2)))
     back = tree_from_dict(tree_to_dict(unordered))
     assert isinstance(back, MergeTree)
-    assert is_isomorphic(back, unordered)
+    assert canonical_form(back) == canonical_form(unordered)
 
 
 def test_bare_leaf_document_decodes_as_chiral():

@@ -24,7 +24,7 @@ from persfiber.core import ChiralMergeTree, MergeTree, canonical_form
 from persfiber.fiber import (
     AttachmentPlan,
     attachment_plans,
-    containment_poset,
+    containers,
     materialize,
     same_stratum,
 )
@@ -52,8 +52,8 @@ def random_barcode(rng, n):
 
 
 def test_containing_sets_of_nested_barcode():
-    assert fiber._containers(NESTED) == [[], [1], [1, 2], [1, 2, 3]]
-    assert fiber._containers(validate_barcode([(1, None), (5, 7), (2, 4)])) == [[], [1], [1]]
+    assert containers(NESTED) == [[], [1], [1, 2], [1, 2, 3]]
+    assert containers(validate_barcode([(1, None), (5, 7), (2, 4)])) == [[], [1], [1]]
 
 
 def test_counts_of_nested_barcode():
@@ -273,31 +273,28 @@ def test_six_bar_enumeration_matches_formula():
 
 
 def test_containment_poset_of_nested_barcode():
-    p = containment_poset(NESTED)
-    assert p.n == 4
-    assert p.relation == frozenset(
-        {(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
-    )
-    assert p.less(4, 2)
-    assert not p.less(2, 4)
+    c = containers(NESTED)
+    assert len(c) == 4
+    assert [(j, k) for j, ks in enumerate(c, 1) for k in ks] == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+    assert 2 in c[4 - 1]
+    assert 4 not in c[2 - 1]
 
 
 def test_containment_poset_of_disjoint_bars():
-    p = containment_poset(validate_barcode([(1, None), (5, 7), (2, 4)]))
-    assert p.n == 3
-    assert p.relation == frozenset({(2, 1), (3, 1)})
+    c = containers(validate_barcode([(1, None), (5, 7), (2, 4)]))
+    assert len(c) == 3
+    assert [(j, k) for j, ks in enumerate(c, 1) for k in ks] == [(2, 1), (3, 1)]
 
 
 def test_containment_poset_of_lone_bar():
-    p = containment_poset(LONE)
-    assert (p.n, p.relation) == (1, frozenset())
+    assert containers(LONE) == [[]]
 
 
 def test_mu_counts_the_strict_up_set():
     for b in (NESTED, TWO, THREE):
-        p = containment_poset(b)
+        c = containers(b)
         assert fiber._choice_counts(b) == [
-            sum(p.less(j, k) for k in range(1, b.N + 1)) for j in range(1, b.N + 1)
+            sum(k in c[j - 1] for k in range(1, b.N + 1)) for j in range(1, b.N + 1)
         ]
 
 

@@ -3,7 +3,9 @@
 The references below are the recursive tree codecs, DOT writer and poset
 search that `core._fold` and the stack search of `same_stratum` replaced.
 They are kept here, verbatim in behaviour, so the iterative versions can be
-held to the same values, the same errors and the same order of errors.
+held to the same values, the same errors and the same order of errors. The
+poset search reads its own relation, from `Interval.strictly_contains` over
+all pairs, so it shares no code with `same_stratum`.
 """
 import ast
 import copy
@@ -28,7 +30,7 @@ from persfiber.core import (
     tree_from_dict,
     tree_to_dict,
 )
-from persfiber.fiber import _signatures, containment_poset, same_stratum
+from persfiber.fiber import same_stratum
 from persfiber.trees import to_dot
 
 # --- recursive references
@@ -114,23 +116,34 @@ def ref_canonical_form(t):
     return f"({height_token(t.height)} {ref_canonical_form(first)} {ref_canonical_form(second)})"
 
 
+def ref_less(b):
+    """(j, k) for every bar j strictly inside bar k, by definition over all pairs."""
+    return {(j.index, k.index) for j in b.bars for k in b.bars if k.strictly_contains(j)}
+
+
+def ref_signatures(b, less):
+    """(bars above, bars below) of every bar 1..N, counted pair by pair."""
+    bars = range(1, b.N + 1)
+    return {j: (sum((j, k) in less for k in bars), sum((k, j) in less for k in bars)) for j in bars}
+
+
 def ref_same_stratum(b1, b2):
-    p1, p2 = containment_poset(b1), containment_poset(b2)
-    if p1.n != p2.n:
+    if b1.N != b2.N:
         return False
-    sig1, sig2 = _signatures(p1), _signatures(p2)
+    less1, less2 = ref_less(b1), ref_less(b2)
+    sig1, sig2 = ref_signatures(b1, less1), ref_signatures(b2, less2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return False
     assigned, used = {1: 1}, {1}
 
     def extend(j):
-        if j > p1.n:
+        if j > b1.N:
             return True
-        for cand in range(2, p2.n + 1):
+        for cand in range(2, b2.N + 1):
             if cand in used or sig2[cand] != sig1[j]:
                 continue
             if not all(
-                p1.less(j, other) == p2.less(cand, img) and p1.less(other, j) == p2.less(img, cand)
+                ((j, other) in less1) == ((cand, img) in less2) and ((other, j) in less1) == ((img, cand) in less2)
                 for other, img in assigned.items()
             ):
                 continue
@@ -295,10 +308,16 @@ BACKTRACKS = [
 ]
 
 
+# Same (above, below) signatures, different posets: the signatures alone would pair them.
+SIGNATURE_TWINS = ([(0, None), (7, 17), (2, 14), (7, 13), (3, 11), (7, 10), (4, 9)],
+                   [(0, None), (3, 16), (5, 13), (5, 12), (1, 11), (6, 10), (4, 9)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_barcodes(), small_barcodes())
 @example(*map(validate_barcode, BACKTRACKS[0]))
 @example(*map(validate_barcode, BACKTRACKS[1]))
+@example(*map(validate_barcode, SIGNATURE_TWINS))
 def test_same_stratum_matches_the_recursive_search(b1, b2):
     assert same_stratum(b1, b2) == ref_same_stratum(b1, b2)
     assert same_stratum(b1, b1) and ref_same_stratum(b1, b1)

@@ -48,11 +48,10 @@ from persfiber.fiber import (
     AttachmentPlan,
     _choice_counts,
     _choices,
-    _containers,
     _trees,
     attachment_plans,
     check_function_realizable,
-    containment_poset,
+    containers,
     enumerate_merge_trees,
     materialize,
 )
@@ -99,7 +98,7 @@ def containing_set(b, j):
 def test_one_pass_mu_matches_containing_set(b):
     expected = [containing_set(b, j) for j in b.bars]
     assert _choice_counts(b) == [len(ks) for ks in expected]
-    assert containment_poset(b).relation == {(j, k) for j, ks in enumerate(expected, 1) for k in ks}
+    assert containers(b) == [sorted(s) for s in expected]
     assert count_merge_trees(b) == math.prod(len(ks) for ks in expected[1:])
 
 
@@ -494,7 +493,7 @@ def _reference_enumerate_functions(b):
         [(b.bars[k - 1].birth, right, pair)
          for k in parents
          for right, pair in ((0, (bar.birth, bar.death)), (1, (bar.death, bar.birth)))]
-        for bar, parents in zip(b.bars[1:], _containers(b)[1:])
+        for bar, parents in zip(b.bars[1:], containers(b)[1:])
     ]
     out = []
     for combo in product(*choices):
