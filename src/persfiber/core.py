@@ -253,17 +253,10 @@ class Interval:
     def is_essential(self) -> bool:
         return self.death == math.inf
 
-    def strictly_contains(self, other: "Interval") -> bool:
-        return (
-            self.birth <= other.birth
-            and other.death <= self.death
-            and (self.birth, self.death) != (other.birth, other.death)
-        )
-
 
 @dataclass(frozen=True)
 class Barcode:
-    """Sorted degree-0 barcode; bars[0] is the essential bar when generic."""
+    """Sorted generic degree-0 barcode, as validate_barcode builds it; bars[0] is the essential bar."""
 
     bars: tuple[Interval, ...]
 
@@ -306,21 +299,18 @@ def _unpack_bar(bar: BarLike, i: int) -> tuple[Height, Height]:
     return birth, death
 
 
-def validate_barcode(
-    bars: Iterable[BarLike], *, generic: bool = True, distinct_births: bool = False
-) -> Barcode:
+def validate_barcode(bars: Iterable[BarLike], *, distinct_births: bool = False) -> Barcode:
     """Sort bars canonically and check the hypotheses of the counting results.
 
-    With `generic` (the default): exactly one infinite bar, pairwise distinct
-    finite deaths, every finite bar strictly inside the essential one. With
+    Every barcode must be generic, as the paper's counts assume: exactly one
+    infinite bar, pairwise distinct finite deaths, every finite bar strictly
+    inside the essential one. There is no switch to skip this. With
     `distinct_births` additionally: pairwise distinct births (needed to count
-    functions rather than trees). Without `generic` only per-bar sanity
-    (birth < death) is enforced; such barcodes are containers, not inputs to
-    the counting machinery. Valid 2-tuples or Intervals of int/float heights
-    pass one conjunction of whole-list checks; the rest takes the per-bar
-    diagnosis, which raises, in this order, InvalidDocument or EmptyBar at the
-    first bad bar, NoInfiniteBar, MultipleInfiniteBars, DuplicateDeath,
-    BarNotContainedInEssential, DuplicateBirth.
+    functions rather than trees). Valid 2-tuples or Intervals of int/float
+    heights pass one conjunction of whole-list checks; the rest takes the
+    per-bar diagnosis, which raises, in this order, InvalidDocument or
+    EmptyBar at the first bad bar, NoInfiniteBar, MultipleInfiniteBars,
+    DuplicateDeath, BarNotContainedInEssential, DuplicateBirth.
     """
     bars = [(bar.birth, bar.death) if type(bar) is Interval else bar for bar in bars]
     if bars and set(map(type, bars)) == {tuple} and set(map(len, bars)) == {2}:
@@ -330,16 +320,16 @@ def validate_barcode(
         # Generic: distinct deaths, and the bar alone born lowest is the infinite one.
         if (set(map(type, births)) <= {int, float} and set(map(type, deaths)) <= {int, float}
                 and all(map(operator.lt, births, deaths)) and -math.inf < (low := min(births))
-                and (not generic or (len(set(deaths)) == len(bars) and births.count(low) == 1
-                                     and deaths[births.index(low)] == math.inf))
+                and len(set(deaths)) == len(bars) and births.count(low) == 1
+                and deaths[births.index(low)] == math.inf
                 and (not distinct_births or len(set(births)) == len(bars))):
             raw = sorted(zip(births, deaths), key=_BIRTH)
             raw.sort(key=_DEATH, reverse=True)  # as the diagnosis sorts
             return Barcode(_intervals(raw))
-    return _diagnose_barcode(bars, generic, distinct_births)
+    return _diagnose_barcode(bars, distinct_births)
 
 
-def _diagnose_barcode(bars: list, generic: bool, distinct_births: bool) -> Barcode:
+def _diagnose_barcode(bars: list, distinct_births: bool) -> Barcode:
     raw: list[tuple[Height, Height]] = []
     for i, bar in enumerate(bars, 1):
         birth, death = _unpack_bar(bar, i)
@@ -350,22 +340,21 @@ def _diagnose_barcode(bars: list, generic: bool, distinct_births: bool) -> Barco
     # essential bar (death inf) lands first without arithmetic on heights.
     raw.sort(key=_BIRTH)
     raw.sort(key=_DEATH, reverse=True)
-    if generic:
-        essential = [i for i, (_, d) in enumerate(raw, 1) if d == math.inf]
-        if not essential:
-            raise NoInfiniteBar("a generic barcode carries exactly one infinite bar, found none")
-        if len(essential) > 1:
-            raise MultipleInfiniteBars(f"found {len(essential)} infinite bars, expected one")
-        for j in range(2, len(raw)):
-            if raw[j][1] == raw[j - 1][1]:
-                raise DuplicateDeath(f"bars {j} and {j + 1} share death {raw[j][1]!r}", position=j + 1)
-        b1 = raw[0][0]
-        for j, (b, _) in enumerate(raw[1:], 2):
-            if not b1 < b:
-                raise BarNotContainedInEssential(
-                    f"bar {j} is born at {b!r}, not strictly after the essential birth {b1!r}",
-                    position=j,
-                )
+    essential = [i for i, (_, d) in enumerate(raw, 1) if d == math.inf]
+    if not essential:
+        raise NoInfiniteBar("a generic barcode carries exactly one infinite bar, found none")
+    if len(essential) > 1:
+        raise MultipleInfiniteBars(f"found {len(essential)} infinite bars, expected one")
+    for j in range(2, len(raw)):
+        if raw[j][1] == raw[j - 1][1]:
+            raise DuplicateDeath(f"bars {j} and {j + 1} share death {raw[j][1]!r}", position=j + 1)
+    b1 = raw[0][0]
+    for j, (b, _) in enumerate(raw[1:], 2):
+        if not b1 < b:
+            raise BarNotContainedInEssential(
+                f"bar {j} is born at {b!r}, not strictly after the essential birth {b1!r}",
+                position=j,
+            )
     if distinct_births:
         first_at: dict[Height, int] = {}
         for j, (b, _) in enumerate(raw, 1):

@@ -13,7 +13,6 @@ sharing equal subtrees, and sorts by the canonical form each vertex carries.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -57,8 +56,13 @@ class AttachmentPlan:
 
 
 def containers(b: Barcode) -> list[list[int]]:
-    """For every bar, the ascending indices of the bars strictly containing it: the containment poset; O(N^2)."""
-    return [[k.index for k in b.bars if k.strictly_contains(j)] for j in b.bars]
+    """For every bar, the ascending indices of the bars strictly containing it: the containment poset; O(N^2).
+
+    In canonical order (death descending, then birth ascending) with distinct
+    deaths, those are the earlier bars born at or below it.
+    """
+    births = b.births
+    return [[k for k, h in enumerate(births[:j], 1) if h <= birth] for j, birth in enumerate(births)]
 
 
 def _choice_counts(b: Barcode) -> list[int]:
@@ -74,11 +78,10 @@ def _choice_counts(b: Barcode) -> list[int]:
 def _mu_pass(b: Barcode) -> list[int]:
     """mu of every bar 1..N in one O(N log N) pass.
 
-    In canonical order (death descending, then birth ascending) the bars
-    containing bar j are the earlier bars born at or below it, counted by a
-    Fenwick tree over birth ranks, minus the earlier bars identical to it.
+    The bars containing bar j are the earlier bars born at or below it (see
+    containers), counted by a Fenwick tree over birth ranks.
     """
-    births, deaths = [bar.birth for bar in b.bars], [bar.death for bar in b.bars]
+    births = b.births
     rank = {h: r for r, h in enumerate(sorted(set(births)), 1)}
     fenwick = [0] * (len(rank) + 1)
     size, counts = len(fenwick), []
@@ -91,22 +94,17 @@ def _mu_pass(b: Barcode) -> list[int]:
         while r < size:
             fenwick[r] += 1
             r += r & -r
-    if len(set(deaths)) < len(deaths):  # only then can two bars be identical
-        identical: Counter = Counter()
-        for j, bar in enumerate(zip(births, deaths)):
-            counts[j] -= identical[bar]
-            identical[bar] += 1
     return counts
 
 
 def count_merge_trees(b: Barcode) -> int:
-    """Product of the choice counts over all finite bars (1 for a lone bar, 0 for none); O(N log N)."""
-    return math.prod(_choice_counts(b)[1:]) if b.N else 0
+    """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N)."""
+    return math.prod(_choice_counts(b)[1:])
 
 
 def count_cmts(b: Barcode) -> int:
     """Two sides per finite bar on top of the merge-tree count."""
-    return 2 ** (b.N - 1) * count_merge_trees(b) if b.N else 0
+    return 2 ** (b.N - 1) * count_merge_trees(b)
 
 
 def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ...]]]:
@@ -116,15 +114,13 @@ def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ..
 
 def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
     """All plans, death-descending / parent-index / left-before-right."""
-    if not b.N:
-        return []  # product() of no choices is one empty plan, but no tree realizes an empty barcode
     per_bar = [[(k, s) for k in parents for s in sides] for parents, sides in _choices(b, chiral=chiral)]
     return [AttachmentPlan(tuple(k for k, _ in combo), tuple(s for _, s in combo) if chiral else None)
             for combo in product(*per_bar)]
 
 
 def _check_plan(b: Barcode, plan: AttachmentPlan) -> None:
-    """Raise InvalidPlan unless every bar 2..N has a side (if chiral) and a parent containing it; O(N)."""
+    """Raise InvalidPlan unless each bar j >= 2 has a side (if chiral) and a parent k < j born at or below it; O(N)."""
     bars, parents, sides = b.bars, plan.parents, plan.sides
     if len(parents) != len(bars) - 1:
         raise InvalidPlan(f"a plan for {len(bars)} bars needs {len(bars) - 1} parents, got {len(parents)}")
@@ -135,7 +131,7 @@ def _check_plan(b: Barcode, plan: AttachmentPlan) -> None:
             j, side = next((j, s) for j, s in enumerate(sides, 2) if s not in ("L", "R"))
             raise InvalidPlan(f"side of bar {j} must be 'L' or 'R', got {side!r}", position=j)
     for j, k in enumerate(parents, 2):
-        if type(k) is not int or not 1 <= k <= len(bars) or not bars[k - 1].strictly_contains(bars[j - 1]):
+        if type(k) is not int or not 1 <= k < j or not bars[k - 1].birth <= bars[j - 1].birth:
             raise InvalidPlan(f"parent {k!r} of bar {j} does not strictly contain it", position=j)
 
 
@@ -167,8 +163,6 @@ def _trees(b: Barcode, choices: list, *, chiral: bool, form: str | None = None) 
     each chain is (vertex, height, that canonical form), written once per
     vertex; a chiral tree's unordered form is that of its forget_chirality.
     """
-    if not (b.bars and all(parents for parents, _ in choices)):
-        return []  # no bar, or a bar that no bar strictly contains: nothing realizes b
     kind = ChiralMergeTree if chiral else MergeTree
     vertex = kind if chiral else lambda height, *children: MergeTree(height, children)
     ordered = form == "chiral"
@@ -227,10 +221,11 @@ def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
 
 
 def check_function_realizable(b: Barcode) -> None:
-    """Raise unless b is generic with two bars or more, distinct births, and no death equal to a birth.
+    """Raise unless b has two bars or more, distinct births, and no death equal to a birth.
 
-    Exactly those barcodes are realized by functions with pairwise distinct
-    critical values; count and enumerate --functions share this rule.
+    b is generic, as validate_barcode makes every barcode. Exactly those
+    barcodes are realized by functions with pairwise distinct critical
+    values; count and enumerate --functions share this rule.
     """
     if b.N < 2:
         raise DegenerateBarcode("a single-bar barcode has no piecewise-linear realization")

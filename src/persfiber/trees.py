@@ -74,7 +74,7 @@ def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:
         return elder
 
     raw.append((_fold(t, _children, lambda v: leaves.append(v.height) or v.height, join), math.inf))
-    barcode = validate_barcode(raw, generic=True)
+    barcode = validate_barcode(raw)
     bar_of_birth = {bar.birth: bar for bar in barcode.bars}
     leaf_to_bar = {h: bar_of_birth[h] for h in leaves}
     return barcode, ElderDecomposition(leaf_to_bar, survivor)

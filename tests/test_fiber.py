@@ -8,8 +8,10 @@ from persfiber import fiber
 from persfiber import (
     DegenerateBarcode,
     DuplicateBirth,
+    DuplicateDeath,
     DuplicateValue,
     InvalidPlan,
+    NoInfiniteBar,
     count_cmts,
     count_merge_trees,
     elder_rule,
@@ -157,14 +159,16 @@ def nested(n):
     return validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)])
 
 
-def test_a_bar_no_bar_contains_has_no_tree():
-    # Outside the generic hypotheses the count is zero, and the enumerators agree; so too with no bar at all.
-    for bars in ([(0, 5), (1, 3), (6, 9)], []):
-        b = validate_barcode(bars, generic=False)
-        assert count_cmts(b) == count_merge_trees(b) == 0
-        assert type(count_cmts(b)) is type(count_merge_trees(b)) is int
-        assert enumerate_cmts(b) == enumerate_merge_trees(b) == []
-        assert attachment_plans(b, chiral=True) == attachment_plans(b, chiral=False) == []
+def test_a_barcode_outside_the_generic_hypotheses_is_refused_by_name():
+    # No bar at all, no infinite bar, or tied deaths: validation refuses, so count and enumerate never see it.
+    for bars in ([], [(0, 5), (1, 3), (6, 9)], [(0, 9), (1, 5), (2, 5)]):
+        with pytest.raises(NoInfiniteBar):
+            validate_barcode(bars)
+    for bars in ([(0, None), (1, 5), (2, 5)], [(0, None), (1, 5), (1, 5)]):
+        with pytest.raises(DuplicateDeath, match=r"^bars 2 and 3 share death 5$"):
+            validate_barcode(bars)
+    with pytest.raises(TypeError):
+        validate_barcode([(0, 9), (1, 5), (2, 5)], generic=False)
 
 
 def test_a_second_count_reuses_the_choice_counts(monkeypatch):

@@ -4,8 +4,8 @@ The references below are the recursive tree codecs, DOT writer and poset
 search that `core._fold` and the stack search of `same_stratum` replaced.
 They are kept here, verbatim in behaviour, so the iterative versions can be
 held to the same values, the same errors and the same order of errors. The
-poset search reads its own relation, from `Interval.strictly_contains` over
-all pairs, so it shares no code with `same_stratum`.
+poset search reads its own relation, by the definition of strict containment
+over all pairs, so it shares no code with `same_stratum`.
 """
 import ast
 import copy
@@ -118,7 +118,8 @@ def ref_canonical_form(t):
 
 def ref_less(b):
     """(j, k) for every bar j strictly inside bar k, by definition over all pairs."""
-    return {(j.index, k.index) for j in b.bars for k in b.bars if k.strictly_contains(j)}
+    return {(j.index, k.index) for j in b.bars for k in b.bars
+            if k.birth <= j.birth and j.death <= k.death and (k.birth, k.death) != (j.birth, j.death)}
 
 
 def ref_signatures(b, less):

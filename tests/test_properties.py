@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from persfiber import (
     barcode_of_sequence,
     cmt_to_sequence,
+    count_cmts,
     count_merge_trees,
     elder_rule,
     enumerate_cmts,
@@ -63,14 +64,29 @@ heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
 @st.composite
 def barcodes(draw):
-    """Generic barcodes, and non-generic ones with tied deaths and identical bars."""
-    if draw(st.booleans()):
-        deaths = st.one_of(st.integers(1, 12), st.just(math.inf))
-        pairs = draw(st.lists(st.tuples(st.integers(0, 10), deaths), min_size=1, max_size=14))
-        return validate_barcode([(b, d) for b, d in pairs if b < d] or [(0, None)], generic=False)
+    """Generic barcodes with up to 13 bars, births drawn from 1..20 and deaths from 21..40."""
     births = draw(st.lists(st.integers(1, 20), max_size=12))
     deaths = draw(st.lists(st.integers(21, 40), min_size=len(births), max_size=len(births), unique=True))
     return validate_barcode([(0, None)] + list(zip(births, deaths)))
+
+
+@st.composite
+def tied_barcodes(draw):
+    """Generic barcodes with N = 1..6 bars on heights 0..12, each an int or a float.
+
+    Births come from a small range, so they often tie; a death equal to
+    another bar's birth is forced half the time. Deaths stay pairwise
+    distinct and above the essential birth 0, so the barcode stays generic.
+    """
+    n = draw(st.integers(1, 6))
+    deaths = draw(st.lists(st.integers(2, 12), min_size=n - 1, max_size=n - 1, unique=True))
+    bars = [[draw(st.integers(1, d - 1)), d] for d in deaths]
+    if n >= 3 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n - 1)))[:2]
+        if bars[i][1] < bars[j][1]:
+            bars[j][0] = bars[i][1]
+    mixed = lambda v: draw(st.sampled_from([v, float(v)]))
+    return validate_barcode([(mixed(0), None)] + [(mixed(birth), mixed(death)) for birth, death in bars])
 
 
 def _wiggle(values):
@@ -90,11 +106,12 @@ def sequences(draw, max_size=41):
 
 def containing_set(b, j):
     """Reference: indices of the bars strictly containing bar j, by definition."""
-    return {k.index for k in b.bars if k.strictly_contains(j)}
+    return {k.index for k in b.bars
+            if k.birth <= j.birth and j.death <= k.death and (k.birth, k.death) != (j.birth, j.death)}
 
 
 @settings(deadline=None)
-@given(barcodes())
+@given(st.one_of(barcodes(), tied_barcodes()))
 def test_one_pass_mu_matches_containing_set(b):
     expected = [containing_set(b, j) for j in b.bars]
     assert _choice_counts(b) == [len(ks) for ks in expected]
@@ -285,7 +302,7 @@ def test_accept_path_matches_reference_at_every_length(values):
     assert _outcome(validate_critical_sequence, values) == _outcome(_reference_validate, values)
 
 
-def _reference_validate_barcode(bars, *, generic=True, distinct_births=False):
+def _reference_validate_barcode(bars, *, distinct_births=False):
     """The per-bar validator that the whole-list checks front, kept as the reference."""
     raw = []
     for i, bar in enumerate(bars, 1):
@@ -308,20 +325,19 @@ def _reference_validate_barcode(bars, *, generic=True, distinct_births=False):
         raw.append((birth, death))
     raw.sort(key=lambda bd: bd[0])
     raw.sort(key=lambda bd: bd[1], reverse=True)
-    if generic:
-        essential = [i for i, (_, d) in enumerate(raw, 1) if d == math.inf]
-        if not essential:
-            raise NoInfiniteBar("a generic barcode carries exactly one infinite bar, found none")
-        if len(essential) > 1:
-            raise MultipleInfiniteBars(f"found {len(essential)} infinite bars, expected one")
-        for j in range(2, len(raw)):
-            if raw[j][1] == raw[j - 1][1]:
-                raise DuplicateDeath(f"bars {j} and {j + 1} share death {raw[j][1]!r}", position=j + 1)
-        b1 = raw[0][0]
-        for j, (b, _) in enumerate(raw[1:], 2):
-            if not b1 < b:
-                raise BarNotContainedInEssential(
-                    f"bar {j} is born at {b!r}, not strictly after the essential birth {b1!r}", position=j)
+    essential = [i for i, (_, d) in enumerate(raw, 1) if d == math.inf]
+    if not essential:
+        raise NoInfiniteBar("a generic barcode carries exactly one infinite bar, found none")
+    if len(essential) > 1:
+        raise MultipleInfiniteBars(f"found {len(essential)} infinite bars, expected one")
+    for j in range(2, len(raw)):
+        if raw[j][1] == raw[j - 1][1]:
+            raise DuplicateDeath(f"bars {j} and {j + 1} share death {raw[j][1]!r}", position=j + 1)
+    b1 = raw[0][0]
+    for j, (b, _) in enumerate(raw[1:], 2):
+        if not b1 < b:
+            raise BarNotContainedInEssential(
+                f"bar {j} is born at {b!r}, not strictly after the essential birth {b1!r}", position=j)
     if distinct_births:
         first_at = {}
         for j, (b, _) in enumerate(raw, 1):
@@ -392,8 +408,8 @@ def _barcode_outcome(validate, bars, **flags):
 @settings(deadline=None, max_examples=800)
 @given(near_barcodes())
 def test_barcode_accept_path_matches_reference(bars):
-    for generic, distinct_births in product((True, False), repeat=2):
-        flags = {"generic": generic, "distinct_births": distinct_births}
+    for distinct_births in (True, False):
+        flags = {"distinct_births": distinct_births}
         assert _barcode_outcome(validate_barcode, bars, **flags) == _barcode_outcome(_reference_validate_barcode, bars, **flags)
 
 
@@ -556,25 +572,6 @@ def _reference_materialize(b, plan):
     return built[1]
 
 
-@st.composite
-def tied_barcodes(draw):
-    """Generic barcodes with N = 1..6 bars on heights 0..12, each an int or a float.
-
-    Births come from a small range, so they often tie; a death equal to
-    another bar's birth is forced half the time. Deaths stay pairwise
-    distinct and above the essential birth 0, so the barcode stays generic.
-    """
-    n = draw(st.integers(1, 6))
-    deaths = draw(st.lists(st.integers(2, 12), min_size=n - 1, max_size=n - 1, unique=True))
-    bars = [[draw(st.integers(1, d - 1)), d] for d in deaths]
-    if n >= 3 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(n - 1)))[:2]
-        if bars[i][1] < bars[j][1]:
-            bars[j][0] = bars[i][1]
-    mixed = lambda v: draw(st.sampled_from([v, float(v)]))
-    return validate_barcode([(mixed(0), None)] + [(mixed(birth), mixed(death)) for birth, death in bars])
-
-
 def _reprs(trees):
     return [repr(t) for t in trees]
 
@@ -597,6 +594,7 @@ def test_tree_enumerators_match_the_chain_builder(b):
         expected = sorted((_reference_materialize(b, p) for p in _reference_plans(b, chiral)), key=canonical_form)
         trees = enumerate_trees(b)
         assert trees == expected and _reprs(trees) == _reprs(expected)
+        assert len(trees) == (count_cmts(b) if chiral else count_merge_trees(b))
 
 
 @settings(deadline=None)

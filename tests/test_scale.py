@@ -34,13 +34,22 @@ def zigzag(k):
     return values + [k - 1]
 
 
-@pytest.mark.parametrize("mirrored", [False, True], ids=["zigzag", "mirrored"])
-def test_forward_round_trip_on_deep_zigzag(mirrored):
+@pytest.fixture(scope="module", params=[False, True], ids=["zigzag", "mirrored"])
+def deep(request):
+    """A zigzag of K minima, plain or mirrored, with (tree, its dict round trip) for both tree kinds.
+
+    The trees are the chiral merge tree and its forget_chirality; the three tests below share one build.
+    """
     values = zigzag(K)
-    f = validate_critical_sequence(values[::-1] if mirrored else values)
-    barcode, _ = barcode_of_sequence(f)
+    f = validate_critical_sequence(values[::-1] if request.param else values)
     t = merge_tree_of_sequence(f)
-    assert elder_rule(forget_chirality(t))[0] == barcode
+    return f, [(tree, tree_from_dict(tree_to_dict(tree))) for tree in (t, forget_chirality(t))]
+
+
+def test_forward_round_trip_on_deep_zigzag(deep):
+    f, ((t, _), (unordered, _)) = deep
+    barcode, _ = barcode_of_sequence(f)
+    assert elder_rule(unordered)[0] == barcode
     assert cmt_to_sequence(t) == f
     # Staggered bars: only the essential bar contains each finite one.
     assert count_merge_trees(barcode) == 1
@@ -56,23 +65,15 @@ def preorder(t):
     return [(v.height, v.is_leaf) for v in t.vertices()]
 
 
-@pytest.mark.parametrize("mirrored", [False, True], ids=["zigzag", "mirrored"])
-def test_tree_documents_and_dot_of_deep_zigzag(mirrored):
-    values = zigzag(K)
-    t = merge_tree_of_sequence(validate_critical_sequence(values[::-1] if mirrored else values))
-    for tree in (t, forget_chirality(t)):
-        back = tree_from_dict(tree_to_dict(tree))
+def test_tree_documents_and_dot_of_deep_zigzag(deep):
+    for tree, back in deep[1]:
         assert type(back) is type(tree)
         assert preorder(back) == preorder(tree)
         assert to_dot(tree).count("[label=") == 2 * K - 1
 
 
-@pytest.mark.parametrize("mirrored", [False, True], ids=["zigzag", "mirrored"])
-def test_deep_trees_compare_hash_and_print(mirrored):
-    values = zigzag(K)
-    t = merge_tree_of_sequence(validate_critical_sequence(values[::-1] if mirrored else values))
-    for tree in (t, forget_chirality(t)):
-        back = tree_from_dict(tree_to_dict(tree))
+def test_deep_trees_compare_hash_and_print(deep):
+    for tree, back in deep[1]:
         assert back == tree
         assert hash(back) == hash(tree)
         assert len({tree, back}) == 1
