@@ -123,6 +123,9 @@ class CriticalSequence:
 
     values: tuple[Height, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", validate_critical_sequence(self.values).values)
+
     @property
     def k(self) -> int:
         """Number of local minima."""
@@ -260,6 +263,10 @@ class Barcode:
 
     bars: tuple[Interval, ...]
 
+    def __post_init__(self):
+        if validate_barcode(self.bars).bars != self.bars:
+            raise InvalidDocument("bars must be validate_barcode's Intervals, in its order and with its indices")
+
     @property
     def N(self) -> int:
         return len(self.bars)
@@ -282,13 +289,10 @@ _BIRTH, _DEATH = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def _unpack_bar(bar: BarLike, i: int) -> tuple[Height, Height]:
-    if isinstance(bar, Interval):
-        birth, death = bar.birth, bar.death
-    else:
-        try:
-            birth, death = bar
-        except (TypeError, ValueError):
-            raise InvalidDocument(f"bar {i} is not a (birth, death) pair", position=i) from None
+    try:
+        birth, death = bar
+    except (TypeError, ValueError):
+        raise InvalidDocument(f"bar {i} is not a (birth, death) pair", position=i) from None
     _require_height(birth, where=f"bar {i} birth", position=i)
     if death is None:
         death = math.inf
@@ -312,7 +316,7 @@ def validate_barcode(bars: Iterable[BarLike], *, distinct_births: bool = False) 
     EmptyBar at the first bad bar, NoInfiniteBar, MultipleInfiniteBars,
     DuplicateDeath, BarNotContainedInEssential, DuplicateBirth.
     """
-    bars = [(bar.birth, bar.death) if type(bar) is Interval else bar for bar in bars]
+    bars = [(bar.birth, bar.death) if isinstance(bar, Interval) else bar for bar in bars]
     if bars and set(map(type, bars)) == {tuple} and set(map(len, bars)) == {2}:
         births = [b for b, _ in bars]
         deaths = [math.inf if d is None else d for _, d in bars]
@@ -325,7 +329,7 @@ def validate_barcode(bars: Iterable[BarLike], *, distinct_births: bool = False) 
                 and (not distinct_births or len(set(births)) == len(bars))):
             raw = sorted(zip(births, deaths), key=_BIRTH)
             raw.sort(key=_DEATH, reverse=True)  # as the diagnosis sorts
-            return Barcode(_intervals(raw))
+            return _intervals(raw)
     return _diagnose_barcode(bars, distinct_births)
 
 
@@ -363,19 +367,21 @@ def _diagnose_barcode(bars: list, distinct_births: bool) -> Barcode:
                     f"bars {first_at[b]} and {j} share birth {b!r}", position=j
                 )
             first_at[b] = j
-    return Barcode(_intervals(raw))
+    return _intervals(raw)
 
 
 def _intervals(raw: list, _new=object.__new__, _birth=Interval.birth.__set__,
-               _death=Interval.death.__set__, _index=Interval.index.__set__) -> tuple[Interval, ...]:
-    # Sets the slots as the frozen dataclass's generated __init__ does, without the call.
+               _death=Interval.death.__set__, _index=Interval.index.__set__) -> Barcode:
+    # Sets the fields as the frozen dataclasses' generated __init__ do, without the calls or their checks.
     bars = []
     for i, (b, d) in enumerate(raw, 1):
         bars.append(bar := _new(Interval))
         _birth(bar, b)
         _death(bar, d)
         _index(bar, i)
-    return tuple(bars)
+    barcode = _new(Barcode)
+    object.__setattr__(barcode, "bars", tuple(bars))
+    return barcode
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ all minima first and then takes only the maxima in ascending order. A live
 component of the sublevel set covers positions lo..hi, and either end maps to
 the other, so a maximum at p joins the components ending at p - 1 and
 starting at p + 1 in O(1); the younger (larger birth) dies. The sort of the
-maxima makes it O(n log n); the same sweep also builds the merge tree. The
-rank function simulates the sublevel sets themselves, independently of any
-barcode, so the two can be played against each other.
+maxima makes it O(n log n); the same sweep also builds the merge tree, and its
+elder pairing `_elder` also serves `trees.elder_rule`. The rank function
+simulates the sublevel sets themselves, independently of any barcode, so the
+two can be played against each other.
 """
 from __future__ import annotations
 
@@ -47,20 +48,28 @@ def _sweep(values: Sequence[Height], leaf: Callable[[Height, int], T], join: Cal
     return value[0]
 
 
-def _raw_bars(f: CriticalSequence) -> list[tuple[Height, int, Height]]:
-    """f's bars as (birth, birth position, death), in the order the sweep closes them.
+def _elder(fold: Callable[[Callable], tuple[Height, int]]) -> tuple[Barcode, dict[int, int]]:
+    """Pair the leaves of fold(join) by the elder rule; return the barcode and each position's bar index.
 
-    That is ascending death, the essential bar last: canonical, as f's values are distinct.
+    fold(join) folds (height, position) leaves and returns the root's value. At
+    a merge at height y, join keeps the smaller side, on a tie the smaller
+    position, and closes the other's bar at y. Bars are found by their deaths.
     """
-    raw: list[tuple[Height, int, Height]] = []
+    bars: list[tuple[Height, Height]] = []
+    positions: list[int] = []
 
     def join(y: Height, left: tuple[Height, int], right: tuple[Height, int]) -> tuple[Height, int]:
-        elder, younger = (left, right) if left < right else (right, left)
-        raw.append((*younger, y))
+        elder, (birth, pos) = (left, right) if left < right else (right, left)
+        bars.append((birth, y))
+        positions.append(pos)
         return elder
 
-    raw.append((*_sweep(f.values, lambda y, pos: (y, pos), join), math.inf))
-    return raw
+    birth, pos = fold(join)
+    bars.append((birth, math.inf))
+    positions.append(pos)
+    barcode = validate_barcode(bars)
+    index_of_death = {bar.death: bar.index for bar in barcode.bars}
+    return barcode, {pos: index_of_death[d] for pos, (_, d) in zip(positions, bars)}
 
 
 def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
@@ -70,10 +79,7 @@ def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
     to the 1-based index of its bar in the sorted barcode. The minimum that
     opened the surviving component owns the infinite bar. O(n log n).
     """
-    raw = _raw_bars(f)
-    barcode = validate_barcode((b, d) for b, _, d in raw)
-    index_of_birth = {bar.birth: bar.index for bar in barcode.bars}
-    return barcode, {pos: index_of_birth[b] for b, pos, _ in raw}
+    return _elder(lambda join: _sweep(f.values, lambda y, pos: (y, pos), join))
 
 
 def rank(f: CriticalSequence, r: Height, t: Height) -> int:

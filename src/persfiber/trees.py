@@ -4,21 +4,18 @@ A sequence becomes a chiral merge tree by joining, for each maximum in
 ascending order, the subtrees left and right of it (the O(n log n) sweep of
 `persistence`). The elder rule walks any merge tree bottom-up: at each vertex
 the child subtree with the larger minimum dies, emitting a bar, and the
-smaller minimum survives. In-order traversal inverts the construction, which
-makes function reconstruction possible. Walks use explicit stacks, in O(n).
+smaller minimum survives; it shares the sweep's pairing, `persistence._elder`.
+In-order traversal inverts the construction, which makes function
+reconstruction possible. Walks use explicit stacks, in O(n).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import count
 
 from .core import (
     Barcode,
     ChiralMergeTree,
     CriticalSequence,
-    Height,
-    Interval,
     KindMismatch,
     MergeTree,
     Tree,
@@ -26,27 +23,13 @@ from .core import (
     _children,
     _fold,
     height_token,
-    validate_barcode,
     validate_critical_sequence,
 )
-from .persistence import _sweep
+from .persistence import _elder, _sweep
 
 
 class TooSmall(ValidationError):
     """Reconstruction needs a tree with at least three vertices."""
-
-
-@dataclass
-class ElderDecomposition:
-    """How the elder rule split a tree into bar-owning monotone chains.
-
-    `leaf_to_bar` maps each leaf height to its bar. `elder_survivor` maps each
-    internal vertex height to the leaf height whose chain survives (the elder,
-    smaller side); the other child's chain dies there.
-    """
-
-    leaf_to_bar: dict[Height, Interval]
-    elder_survivor: dict[Height, Height]
 
 
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
@@ -54,30 +37,17 @@ def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
     return _sweep(f.values, lambda y, _: ChiralMergeTree(y), ChiralMergeTree)
 
 
-def elder_rule(t: MergeTree) -> tuple[Barcode, ElderDecomposition]:
-    """Bottom-up elder rule: the younger side of every vertex dies there.
+def elder_rule(t: MergeTree) -> tuple[Barcode, dict[int, int]]:
+    """Bottom-up elder rule: the younger side of every vertex dies there, the right one on a tie.
 
-    Returns the barcode together with the decomposition into monotone chains.
-    The chain of the global minimum survives every merge and owns the
-    infinite bar.
+    Returns the barcode and barcode_of_sequence's position -> bar index map,
+    with the i-th leaf in pre-order at position 2i - 1.
     """
     if not isinstance(t, MergeTree):
         raise KindMismatch(f"elder_rule takes an unordered MergeTree, got {type(t).__name__}")
-    raw: list[tuple[Height, Height]] = []
-    survivor: dict[Height, Height] = {}
-    leaves: list[Height] = []  # leaf heights in pre-order, as t.leaves() gives them
-    # A subtree's value is its smallest leaf; at v the larger of the two dies, the right one on a tie.
-    def join(v: MergeTree, left: Height, right: Height) -> Height:
-        elder, younger = (right, left) if right < left else (left, right)
-        raw.append((younger, v.height))
-        survivor[v.height] = elder
-        return elder
-
-    raw.append((_fold(t, _children, lambda v: leaves.append(v.height) or v.height, join), math.inf))
-    barcode = validate_barcode(raw)
-    bar_of_birth = {bar.birth: bar for bar in barcode.bars}
-    leaf_to_bar = {h: bar_of_birth[h] for h in leaves}
-    return barcode, ElderDecomposition(leaf_to_bar, survivor)
+    positions = count(1, 2)
+    return _elder(lambda join: _fold(t, _children, lambda v: (v.height, next(positions)),
+                                     lambda v, left, right: join(v.height, left, right)))
 
 
 def forget_chirality(t: ChiralMergeTree) -> MergeTree:

@@ -72,6 +72,8 @@ def test_critical_sequence_keeps_its_field_in_a_slot():
 def test_rejects_even_length():
     with pytest.raises(EvenLength):
         validate_critical_sequence([1, 7])
+    with pytest.raises(EvenLength):
+        CriticalSequence((1, 7))  # built by hand, it is validated all the same
 
 
 def test_rejects_too_short():
@@ -99,6 +101,9 @@ def test_rejects_climb_at_the_end():
         validate_critical_sequence([1, 7, 2, 6, 9])
 
 
+Heights = IntEnum("Heights", [("LOW", 1), ("TOP", 7), ("MID", 2)])  # module level, so pickle finds it
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -107,17 +112,20 @@ def test_rejects_climb_at_the_end():
         [0, 7.5, -3, 11, 2.5],
         [v for i in range(299) for v in (i, 1000 + i + 0.5)] + [299],
         [1.5, 10**400, 2.5],  # accepted by the per-position diagnosis
-        list(IntEnum("H", [("LOW", 1), ("TOP", 7), ("MID", 2)])),
+        list(Heights),
     ],
     ids=["ints", "floats", "mixed", "long-mixed", "huge-int", "int-enum"],
 )
 def test_accepted_sequences_keep_the_dataclass_contract(values):
     s = validate_critical_sequence(values)
-    reference = CriticalSequence(tuple(values))
+    reference = object.__new__(CriticalSequence)  # set directly, so the reference never runs the validator
+    object.__setattr__(reference, "values", tuple(values))
     assert type(s) is CriticalSequence and not hasattr(s, "__dict__")
     assert s == reference and hash(s) == hash(reference) and repr(s) == repr(reference)
     with pytest.raises(FrozenInstanceError):
         s.values = (1, 8, 2)
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), dataclasses.replace(s), CriticalSequence(values)):
+        assert back == s and hash(back) == hash(s) and type(back.values) is tuple
 
 
 def test_rejects_non_number_values():
@@ -236,6 +244,8 @@ def test_barcode_order_insensitive():
 def test_barcode_requires_one_infinite_bar():
     with pytest.raises(NoInfiniteBar):
         validate_barcode([(2, 7)])
+    with pytest.raises(NoInfiniteBar):
+        Barcode((Interval(0, 9, 1), Interval(1, 5, 2), Interval(2, 5, 3)))  # built by hand, validated all the same
     with pytest.raises(MultipleInfiniteBars):
         validate_barcode([(1, None), (2, None)])
 
@@ -294,10 +304,15 @@ def test_accepted_bars_keep_the_dataclass_contract(bars):
         assert bar == reference and hash(bar) == hash(reference) and repr(bar) == repr(reference)
         with pytest.raises(FrozenInstanceError):
             bar.birth = 0
-    for back in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
-        assert back == b and back is not b
+    for back in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), dataclasses.replace(b)):
+        assert back == b and back is not b and hash(back) == hash(b)
         assert [(type(x.birth), type(x.death), x.index) for x in back.bars] == [
             (type(x.birth), type(x.death), x.index) for x in b.bars]
+    # Built by hand, a barcode must carry exactly the bars validate_barcode gives, in its order.
+    with pytest.raises(InvalidDocument):
+        Barcode(b.bars[::-1])
+    with pytest.raises(InvalidDocument):
+        Barcode(tuple(Interval(bar.birth, bar.death) for bar in b.bars))
 
 
 SMALL_TREES = [

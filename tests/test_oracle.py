@@ -221,4 +221,4 @@ def test_brute_force_never_consults_plans_or_the_formula():
         fn = getattr(oracle, name)
         assert "fiber" not in _names(fn.__code__), fn.__name__
         # the brute force pairs its candidates itself, not with the sweep the forward direction uses
-        assert not {"_sweep", "_raw_bars"} & _names(fn.__code__), fn.__name__
+        assert not {"_sweep", "_elder"} & _names(fn.__code__), fn.__name__

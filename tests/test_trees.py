@@ -62,25 +62,23 @@ def test_tree_leaves_are_the_minima_in_order():
 
 
 def test_elder_rule_single_leaf():
-    b, dec = elder_rule(MergeTree(1))
+    b, owner = elder_rule(MergeTree(1))
     assert [(bar.birth, bar.death) for bar in b.bars] == [(1, math.inf)]
-    assert dec.leaf_to_bar[1].is_essential
-    assert dec.elder_survivor == {}
+    assert owner == {1: 1}
 
 
 def test_elder_rule_one_merge():
-    b, dec = elder_rule(MergeTree(7, (MergeTree(1), MergeTree(2))))
+    b, owner = elder_rule(MergeTree(7, (MergeTree(1), MergeTree(2))))
     assert b == validate_barcode([(1, None), (2, 7)])
-    assert dec.leaf_to_bar[1].is_essential
-    assert (dec.leaf_to_bar[2].birth, dec.leaf_to_bar[2].death) == (2, 7)
-    assert dec.elder_survivor == {7: 1}
+    assert owner == {1: 1, 3: 2}
+    assert (b.bars[owner[3] - 1].birth, b.bars[owner[3] - 1].death) == (2, 7)
 
 
 def test_elder_rule_deep_tree():
     t = forget_chirality(merge_tree_of_sequence(DEEP))
-    b, dec = elder_rule(t)
+    b, owner = elder_rule(t)
     assert b == validate_barcode([(1, None), (4, 7), (2, 6), (3, 5)])
-    assert dec.elder_survivor == {5: 1, 6: 1, 7: 1}
+    assert owner == {1: 1, 3: 4, 5: 3, 7: 2}
 
 
 def test_elder_rule_rejects_chiral_input():
@@ -88,28 +86,28 @@ def test_elder_rule_rejects_chiral_input():
         elder_rule(C(7, C(1), C(2)))
 
 
-def test_elder_decomposition_shape():
+def test_elder_owner_map_shape():
     for f in small_corpus():
         t = forget_chirality(merge_tree_of_sequence(f))
-        b, dec = elder_rule(t)
-        # every leaf owns the bar born at its height
-        assert set(dec.leaf_to_bar) == set(f.minima)
-        for h, bar in dec.leaf_to_bar.items():
-            assert bar.birth == h
-        # every internal vertex kills exactly one bar and keeps the elder side
-        assert set(dec.elder_survivor) == set(f.maxima)
-        dying_birth = {bar.death: bar.birth for bar in b.bars if not bar.is_essential}
-        for h, survivor in dec.elder_survivor.items():
-            assert survivor < dying_birth[h]
-        assert dec.leaf_to_bar[min(f.minima)].is_essential
+        b, owner = elder_rule(t)
+        # every leaf owns the bar born at its height, and every bar has one owner
+        assert sorted(owner) == list(range(1, len(f) + 1, 2))
+        assert sorted(owner.values()) == list(range(1, b.N + 1))
+        for pos, index in owner.items():
+            assert b.bars[index - 1].birth == f.values[pos - 1]
+        # every internal vertex kills exactly one bar, and the global minimum's survives
+        assert sorted(b.finite_deaths) == sorted(f.maxima)
+        assert b.bars[owner[f.values.index(min(f.minima)) + 1] - 1].is_essential
 
 
-def test_elder_decomposition_lists_the_leaves_in_pre_order():
+def test_elder_owner_map_keys_the_leaves_in_pre_order():
     for f in [*small_corpus(), DEEP, seq(1.5, 5, 3, 6.25, 2.0, 7, 4)]:
         t = forget_chirality(merge_tree_of_sequence(f))
-        _, dec = elder_rule(t)
-        assert list(dec.leaf_to_bar) == [v.height for v in t.leaves()]
-        assert [type(h) for h in dec.leaf_to_bar] == [type(v.height) for v in t.leaves()]
+        b, owner = elder_rule(t)
+        assert sorted(owner) == list(range(1, 2 * f.k, 2))
+        births = [b.bars[owner[2 * i - 1] - 1].birth for i in range(1, f.k + 1)]
+        assert births == [v.height for v in t.leaves()]
+        assert [type(h) for h in births] == [type(v.height) for v in t.leaves()]
 
 
 @pytest.mark.parametrize("outer_left", [False, True], ids=["inner-first", "inner-last"])
@@ -122,10 +120,12 @@ def test_tied_sibling_leaves_keep_their_types(tied, births, outer_left):
     # On a tie the left leaf is the elder: it lives on to 10, and the right one dies at 5.
     inner = {"height": 5, "children": [{"height": h} for h in tied]}
     kids = [{"height": 0}, inner] if outer_left else [inner, {"height": 0}]
-    b, dec = elder_rule(tree_from_dict({"height": 10, "children": kids}))
+    b, owner = elder_rule(tree_from_dict({"height": 10, "children": kids}))
     assert [(type(bar.birth), bar.birth) for bar in b.bars] == births
     assert [bar.death for bar in b.bars] == [math.inf, 10, 5]
-    assert dec.elder_survivor == {5: tied[0], 10: 0} and type(dec.elder_survivor[5]) is type(tied[0])
+    assert owner == ({1: 1, 3: 2, 5: 3} if outer_left else {1: 2, 3: 3, 5: 1})
+    elder = b.bars[owner[3 if outer_left else 1] - 1]
+    assert elder.death == 10 and type(elder.birth) is type(tied[0])
 
 
 def test_chiral_elder_map_examples():
@@ -137,7 +137,7 @@ def test_chiral_elder_map_examples():
 
 def test_elder_rule_commutes_with_sweep():
     for f in small_corpus():
-        assert elder_rule(forget_chirality(merge_tree_of_sequence(f)))[0] == barcode_of_sequence(f)[0]
+        assert elder_rule(forget_chirality(merge_tree_of_sequence(f))) == barcode_of_sequence(f)
 
 
 # --- chirality
