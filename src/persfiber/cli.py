@@ -38,11 +38,21 @@ def _emit(doc: object) -> None:
 
 
 def _print_count(n: int) -> None:
-    # str(n) refuses ints past sys.get_int_max_str_digits() (4,300 by default); Decimal converts exactly.
-    # Imported here: it adds about 2 ms to the start-up of every other subcommand.
+    # str(n) refuses ints past sys.get_int_max_str_digits() (4,300 by default) and Decimal(n) is quadratic: split n
+    # into halves down to 4,096 bits, recombined exactly. Imported here: it adds 2 ms to every other subcommand.
     import decimal
 
-    print(decimal.Decimal(n))
+    parts, widths = [n], [4096]
+    while n >> widths[-1]:
+        widths.append(2 * widths[-1])
+    for w in reversed(widths[:-1]):  # split every part into its low and high w bits
+        parts = [h for p in parts for h in (p & ((1 << w) - 1), p >> w)]
+    with decimal.localcontext() as ctx:  # so wide that no sum or product rounds
+        ctx.prec, ctx.Emax, ctx.traps[decimal.Inexact] = decimal.MAX_PREC, decimal.MAX_EMAX, True
+        parts = list(map(decimal.Decimal, parts))
+        for two_w in (decimal.Decimal(2) ** w for w in widths[:-1]):
+            parts = [lo + hi * two_w for lo, hi in zip(parts[0::2], parts[1::2])]
+        print(parts[0])
 
 
 def _parse_level(text: str) -> float:

@@ -327,9 +327,8 @@ def validate_barcode(bars: Iterable[BarLike], *, distinct_births: bool = False) 
                 and len(set(deaths)) == len(bars) and births.count(low) == 1
                 and deaths[births.index(low)] == math.inf
                 and (not distinct_births or len(set(births)) == len(bars))):
-            raw = sorted(zip(births, deaths), key=_BIRTH)
-            raw.sort(key=_DEATH, reverse=True)  # as the diagnosis sorts
-            return _intervals(raw)
+            # The deaths are pairwise distinct, so the death order alone is the diagnosis's two-pass order.
+            return _intervals(sorted(zip(births, deaths), key=_DEATH, reverse=True))
     return _diagnose_barcode(bars, distinct_births)
 
 

@@ -99,12 +99,19 @@ def _mu_pass(b: Barcode) -> list[int]:
 
 def count_merge_trees(b: Barcode) -> int:
     """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N)."""
-    return math.prod(_choice_counts(b)[1:])
+    return _product(_choice_counts(b)[1:])
 
 
 def count_cmts(b: Barcode) -> int:
     """Two sides per finite bar on top of the merge-tree count."""
-    return 2 ** (b.N - 1) * count_merge_trees(b)
+    return count_merge_trees(b) << (b.N - 1)
+
+
+def _product(factors: list[int]) -> int:
+    """math.prod(factors), pairwise level by level: left to right is quadratic in the product's bit length."""
+    while len(factors) > 4:  # a few factors cost the same in any order
+        factors = [*map(int.__mul__, factors[0::2], factors[1::2]), *factors[len(factors) & ~1:]]
+    return math.prod(factors)
 
 
 def _choices(b: Barcode, *, chiral: bool) -> list[tuple[list[int], tuple[str, ...]]]:

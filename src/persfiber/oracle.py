@@ -3,20 +3,21 @@
 all_functions and brute_fiber know nothing about attachment plans, counting
 formulas or the sublevel sweep: walking the orders of the maxima, they
 generate only the alternating arrangements of the given values, pass each
-through the sequence validator, and group them by barcode, paired off by the
-oracle's own elder pairing. verify() is the one place the routes meet. It
-generates the candidates once, pairs each of them once, builds one barcode
-per group, and reports the formula, the plan enumeration and the brute force
-side by side; its partition check compares the size of every fiber that
-arises from b's critical values with the counting formula. Its merge-tree
-dedup reads the unordered form the chiral build writes on each vertex.
+through the sequence validator, and group them by barcode with the oracle's
+own Elder Rule, run column-wise over all the candidates of one order at
+once. verify() is the one place the routes meet. It generates the candidates
+once, builds one barcode per group, and reports the formula, the plan
+enumeration and the brute force side by side; its partition check compares
+the size of every fiber that arises from b's critical values with the
+counting formula. Its merge-tree dedup reads the unordered form the chiral
+build writes on each vertex.
 """
 from __future__ import annotations
 
 import math
 from itertools import permutations
-from operator import itemgetter
-from typing import Iterable
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator
 
 from . import fiber
 from .core import (
@@ -40,15 +41,15 @@ class ScaleCapExceeded(ValidationError):
     """Brute force is deliberately capped at MAX_MINIMA minima."""
 
 
-def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[CriticalSequence]:
-    """Every valid critical sequence using the given values, sorted.
+def _by_order(minima: Iterable[Height], maxima: Iterable[Height]) -> Iterator[tuple[tuple, list[tuple]]]:
+    """For each order px of the maxima, the raw alternating arrangements with their maxima in that order.
 
-    For each order px of the maxima, minimum slot j lies between px[j - 1]
-    and px[j] (the end slots beside one maximum) and needs a value below
-    both. Filled from the most demanding slot down, the one with the lowest
-    neighbour first, each slot takes one of the minima below its neighbours
-    less those already placed, so the choices form a mixed-radix product of
-    only the alternating interleavings: (k - 1)! orders, not k!.
+    Minimum slot j lies between px[j - 1] and px[j] (the end slots beside one
+    maximum) and needs a value below both. Filled from the most demanding
+    slot down, the one with the lowest neighbour first, each slot takes one
+    of the minima below its neighbours less those already placed, so the
+    choices form a mixed-radix product of only the alternating interleavings:
+    (k - 1)! orders, not k!. The values are not validated here.
     """
     mins = tuple(sorted(minima))
     maxs = tuple(sorted(maxima))
@@ -61,7 +62,6 @@ def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[Cr
     pool = list(mins) + list(maxs)
     if len(set(pool)) != len(pool):
         raise DuplicateValue("minima and maxima must be pairwise distinct overall")
-    raws: list[tuple[Height, ...]] = []
     for px in permutations(maxs):
         beside = list(zip((px[0],) + px, px + (px[-1],)))  # the maxima left and right of each minimum slot
         order = sorted(range(len(mins)), key=lambda j: min(beside[j]))
@@ -71,48 +71,57 @@ def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[Cr
             placed = [p + (x,) for p in placed for x in below if x not in p]
         # the sequence interleaves p, whose minima are listed in `order`, with px
         at = [order.index(i // 2) if i % 2 == 0 else len(mins) + i // 2 for i in range(len(pool))]
-        raws += map(itemgetter(*at), (p + px for p in placed))
-    raws.sort()
+        yield px, list(map(itemgetter(*at), (p + px for p in placed)))
+
+
+def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[CriticalSequence]:
+    """Every valid critical sequence using the given values, sorted; see _by_order."""
+    raws = sorted(v for _, vs in _by_order(minima, maxima) for v in vs)
     return [validate_critical_sequence(v) for v in raws]
 
 
-def _elder_pairs(values: tuple[Height, ...]) -> list[tuple[Height, Height]]:
-    """The (birth, death) pairs of distinct alternating values by ascending death, the essential bar last.
+def _births(px: tuple, rank: dict[Height, int], columns: tuple[tuple, ...]) -> Iterator[tuple]:
+    """The finite births, by ascending death, of each candidate of one order px, given as slot columns.
 
-    Each maximum z reaches out on both sides to the nearest higher maximum;
-    of the lowest minima on the two sides, the larger dies at z. A stack holds
-    the maxima no higher one has passed yet; the end of the values passes all.
+    Each maximum reaches out to the nearest higher maximum on both sides; of
+    the two lowest side minima, the larger dies at it. The reaches depend on
+    px alone, so one stack walk pairs every candidate at once, a column per
+    maximum. rank places each maximum among the sorted maxima, the deaths.
     """
-    pairs, stack = [], []  # stack: (maximum, lowest minimum between it and the maximum below it)
-    it = iter((*values, None, None))
-    low = next(it)  # lowest minimum since the maximum on top of the stack
-    for y, nxt in zip(it, it):
-        while stack and (y is None or stack[-1][0] < y):
-            z, left = stack.pop()
-            if left < low:
-                left, low = low, left
-            pairs.append((left, z))
-        stack.append((y, low))
-        low = nxt
-    pairs.sort(key=itemgetter(1))
-    pairs.append((stack[0][1], math.inf))
-    return pairs
+    births: list = [None] * len(px)
+    stack = []  # (position of a maximum no higher one has passed yet, lowest minima of its left reach)
+    for j, z in enumerate((*px, None)):  # the end passes all
+        low = columns[2 * j]  # lowest minima since the maximum on top of the stack: slot j, left of px[j]
+        while stack and (z is None or px[stack[-1][0]] < z):
+            i, left = stack.pop()
+            births[rank[px[i]]] = [y if x < y else x for x, y in zip(left, low)]
+            low = [x if x < y else y for x, y in zip(left, low)]
+        stack.append((j, low))
+    return zip(*births)
 
 
 def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
-    """all_functions(minima, maxima) grouped by barcode, in one pass.
+    """all_functions(minima, maxima) grouped by barcode: each group sorted, the groups by their least member.
 
-    The key is the candidate's elder pairs, whose order is canonical; each
-    group's Barcode is built and validated once, afterwards.
+    Every candidate is validated once, before any Barcode is built; each group's is built once.
     """
-    groups: dict[tuple[tuple[Height, Height], ...], list[CriticalSequence]] = {}
-    for f in all_functions(minima, maxima):
-        groups.setdefault(tuple(_elder_pairs(f.values)), []).append(f)
-    return {validate_barcode(key): fs for key, fs in groups.items()}
+    orders = list(_by_order(minima, maxima))
+    checked = [list(map(validate_critical_sequence, raws)) for _, raws in orders]
+    deaths = sorted(orders[0][0])
+    rank = {z: r for r, z in enumerate(deaths)}
+    groups: dict[tuple[Height, ...], list[CriticalSequence]] = {}
+    for (px, raws), fs in zip(orders, checked):
+        for key, f in zip(_births(px, rank, tuple(zip(*raws))) if fs else (), fs):
+            groups.setdefault(key, []).append(f)
+    for fs in groups.values():
+        fs.sort(key=attrgetter("values"))
+    ordered = sorted(groups.items(), key=lambda kv: kv[1][0].values)
+    low = min(ordered[0][1][0].values[0::2]) if ordered else None  # the essential birth
+    return {validate_barcode(zip((*births, low), (*deaths, math.inf))): fs for births, fs in ordered}
 
 
 def brute_fiber(b: Barcode) -> list[CriticalSequence]:
-    """Every function realizing b, found by grouping all_functions by elder pairs.
+    """Every function realizing b, found by grouping the candidates on b's values by their column-wise pairing.
 
     The barcode's births are the candidate minima and its finite deaths the
     maxima; nothing from the plan enumeration is consulted.
@@ -125,7 +134,7 @@ def verify(b: Barcode) -> dict:
 
     The brute force runs first, so an input past MAX_MINIMA or with shared
     critical values is refused before any tree is built. Its candidates are
-    generated once and paired once; grouped by barcode, they give both b's
+    generated once and paired once, column-wise; grouped by barcode, they give both b's
     brute fiber and the partition check: every barcode arising from b's
     critical values a has exactly count_cmts(a) functions. The chiral trees
     are built once, each vertex written with its unordered canonical form, so

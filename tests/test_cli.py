@@ -2,6 +2,7 @@ import decimal
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -108,6 +109,21 @@ def test_count_prints_counts_past_the_int_digit_limit(write, capsys, mode, n, di
     assert (code, err) == (0, "")
     expected = math.factorial(n - 1) * (2 ** (n - 1) if mode == "--chiral" else 1)
     assert len(out.strip()) == digits and decimal.Decimal(out.strip()) == expected
+
+
+def test_count_prints_a_count_of_tens_of_thousands_of_digits_exactly(write, capsys):
+    # Past 4,096 bits the count is converted by halves; nested N=20,000 has 19,999! merge trees, 77,333 digits.
+    n = 20_000
+    doc = {"bars": [{"birth": 0, "death": None}] + [{"birth": i, "death": 2 * n - i} for i in range(1, n)]}
+    code, out, err = run(capsys, ["count", "--merge-trees", write(doc)])
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.factorial(n - 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected + "\n"
 
 
 def test_enumerate_functions_command(write, capsys):

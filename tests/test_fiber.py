@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 
@@ -25,6 +26,7 @@ from persfiber import (
 from persfiber.core import ChiralMergeTree, MergeTree, canonical_form
 from persfiber.fiber import (
     AttachmentPlan,
+    _product,
     attachment_plans,
     containers,
     materialize,
@@ -62,6 +64,14 @@ def test_counts_of_nested_barcode():
     assert fiber._choice_counts(NESTED) == [0, 1, 2, 3]
     assert count_merge_trees(NESTED) == 6
     assert count_cmts(NESTED) == 48
+
+
+def test_the_product_tree_equals_math_prod():
+    rng = random.Random(17)
+    lists = [[], [7], [0, 5], [3, 1 << 200, 5]]
+    lists += [[rng.randint(0, 10 ** rng.randint(1, 30)) for _ in range(rng.randint(0, 300))] for _ in range(200)]
+    for factors in lists:
+        assert _product(list(factors)) == math.prod(factors)
 
 
 def test_counts_of_small_barcodes():

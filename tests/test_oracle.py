@@ -146,13 +146,13 @@ def test_verify_nested_five_bars():
 
 def test_verify_generates_the_candidates_once(monkeypatch):
     calls = []
-    original = oracle.all_functions
+    original = oracle._by_order
 
     def counting(minima, maxima):
         calls.append(1)
         return original(minima, maxima)
 
-    monkeypatch.setattr(oracle, "all_functions", counting)
+    monkeypatch.setattr(oracle, "_by_order", counting)
     assert verify(NESTED)["partition_check"]
     assert len(calls) == 1
 
@@ -217,7 +217,7 @@ def _names(code):
 
 
 def test_brute_force_never_consults_plans_or_the_formula():
-    for name in ("all_functions", "_fibers", "brute_fiber", "_elder_pairs"):
+    for name in ("_by_order", "all_functions", "_births", "_fibers", "brute_fiber"):
         fn = getattr(oracle, name)
         assert "fiber" not in _names(fn.__code__), fn.__name__
         # the brute force pairs its candidates itself, not with the sweep the forward direction uses

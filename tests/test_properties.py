@@ -56,7 +56,7 @@ from persfiber.fiber import (
     enumerate_merge_trees,
     materialize,
 )
-from persfiber.oracle import _elder_pairs, _fibers, all_functions, brute_fiber, verify
+from persfiber.oracle import _births, _by_order, _fibers, all_functions, brute_fiber, verify
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
@@ -472,14 +472,28 @@ def _generated(generate, split):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("split", [
+NAN_AND_INF_SPLITS = [
     ([math.nan, 1], [5]), ([1, 2, 3], [math.nan, 9]), ([1, 2, 3], [9, math.nan]),  # NaN orders against nothing
     ([-math.inf, 1], [5]), ([1, 2], [math.inf]), ([-math.inf, 1, 2], [math.inf, 5]),  # the validator refuses these
     ([math.inf, 1], [5]), ([1, 2], [-math.inf]), ([1, 2, 3], [math.inf, -math.inf]),  # no arrangement alternates
     ([-math.inf, 2.0, 1], [3.5, 7]),
-])
+]
+
+
+@pytest.mark.parametrize("split", NAN_AND_INF_SPLITS)
 def test_all_functions_matches_the_interleaving_filter_on_values_hypothesis_does_not_draw(split):
     assert _generated(all_functions, split) == _generated(_reference_all_functions, split)
+
+
+def _grouped(minima, maxima):
+    """The members of every group _fibers returns, sorted by values as all_functions sorts them."""
+    return sorted((f for fs in _fibers(minima, maxima).values() for f in fs), key=lambda f: f.values)
+
+
+@pytest.mark.parametrize("split", NAN_AND_INF_SPLITS)
+def test_fibers_refuse_and_accept_as_all_functions_does(split):
+    # _fibers validates each order's candidates as generated, not in all_functions' sorted order.
+    assert _generated(_grouped, split) == _generated(all_functions, split)
 
 
 @pytest.mark.parametrize("split", [([0.0, -0.0], [3]), ([-0.0, 1], [0.0]), ([2, 1], [2.0]), ([2.0, 1, 2], [5, 6])])
@@ -502,11 +516,17 @@ def test_fibers_match_grouping_by_sweep_barcode(split):
 
 @settings(deadline=None)
 @given(critical_values())
-def test_elder_pairs_match_the_sweep(split):
-    for f in all_functions(*split):
-        pairs = [(type(h), h) for pair in _elder_pairs(f.values) for h in pair]
-        bars = reversed(barcode_of_sequence(f)[0].bars)  # ascending death, the essential bar last
-        assert pairs == [(type(h), h) for bar in bars for h in (bar.birth, bar.death)]
+def test_births_match_the_sweep(split):
+    orders = list(_by_order(*split))
+    deaths = sorted(orders[0][0])
+    rank = {z: r for r, z in enumerate(deaths)}
+    for px, raws in orders:
+        births = _births(px, rank, tuple(zip(*raws))) if raws else []
+        for f, born in zip(raws, births, strict=True):
+            pairs = [(type(h), h) for pair in (*zip(born, deaths), (min(f[0::2]), math.inf)) for h in pair]
+            # the sweep's bars by ascending death, the essential bar last
+            bars = reversed(barcode_of_sequence(validate_critical_sequence(f))[0].bars)
+            assert pairs == [(type(h), h) for bar in bars for h in (bar.birth, bar.death)]
 
 
 def _reference_enumerate_functions(b):
