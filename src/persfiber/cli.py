@@ -84,10 +84,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_elder(args: argparse.Namespace) -> int:
-    tree = tree_from_dict(_load(args.tree))
-    if isinstance(tree, ChiralMergeTree):
-        tree = trees.forget_chirality(tree)
-    barcode, _ = trees.elder_rule(tree)
+    barcode, _ = trees.elder_rule(tree_from_dict(_load(args.tree)))
     _emit(barcode_to_dict(barcode))
     return 0
 
@@ -185,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit Graphviz instead of JSON")
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("elder", help="barcode of a merge tree (elder rule)")
+    p = sub.add_parser("elder", help="barcode of a merge tree of either kind (elder rule)")
     p.add_argument("tree", help="tree JSON file, or - for stdin")
     p.set_defaults(func=cmd_elder)
 

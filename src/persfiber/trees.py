@@ -37,14 +37,16 @@ def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
     return _sweep(f.values, lambda y, _: ChiralMergeTree(y), ChiralMergeTree)
 
 
-def elder_rule(t: MergeTree) -> tuple[Barcode, dict[int, int]]:
+def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
     """Bottom-up elder rule: the younger side of every vertex dies there, the right one on a tie.
 
     Returns the barcode and barcode_of_sequence's position -> bar index map,
-    with the i-th leaf in pre-order at position 2i - 1.
+    with the i-th leaf in pre-order at position 2i - 1. Either tree kind: a
+    chiral tree gives exactly what its forget_chirality gives, positions and
+    ties included, so elder_rule(merge_tree_of_sequence(f)) == barcode_of_sequence(f).
     """
-    if not isinstance(t, MergeTree):
-        raise KindMismatch(f"elder_rule takes an unordered MergeTree, got {type(t).__name__}")
+    if not isinstance(t, (MergeTree, ChiralMergeTree)):
+        raise KindMismatch(f"elder_rule takes a merge tree, got {type(t).__name__}")
     positions = count(1, 2)
     return _elder(lambda join: _fold(t, _children, lambda v: (v.height, next(positions)),
                                      lambda v, left, right: join(v.height, left, right)))

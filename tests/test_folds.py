@@ -266,6 +266,19 @@ def test_codecs_dot_and_canonical_form_match_the_recursive_references(t):
     assert canonical_form(t) == ref_canonical_form(t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(trees().filter(lambda t: isinstance(t, ChiralMergeTree)))
+def test_elder_rule_of_a_chiral_tree_is_that_of_its_forgotten_form(t):
+    """Chirality plays no part in the elder rule: same barcode and positions, or the same refusal, tied leaves included."""
+    def outcome(tree):
+        try:
+            return persfiber.elder_rule(tree)
+        except ValidationError as exc:  # a leaf tied with the lowest one is not born after the essential bar
+            return type(exc).__name__, str(exc)
+
+    assert outcome(t) == outcome(persfiber.forget_chirality(t))
+
+
 @settings(max_examples=500, deadline=None)
 @given(trees(), st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 40)), min_size=1, max_size=3))
 def test_decoders_fail_like_the_recursive_references(t, mutations):

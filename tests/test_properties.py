@@ -121,7 +121,8 @@ def test_one_pass_mu_matches_containing_set(b):
 @settings(deadline=None)
 @given(sequences())
 def test_sweep_barcode_is_elder_rule_of_merge_tree(f):
-    assert elder_rule(forget_chirality(merge_tree_of_sequence(f))) == barcode_of_sequence(f)
+    t = merge_tree_of_sequence(f)
+    assert elder_rule(t) == elder_rule(forget_chirality(t)) == barcode_of_sequence(f)
 
 
 @settings(deadline=None)

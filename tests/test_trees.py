@@ -81,9 +81,25 @@ def test_elder_rule_deep_tree():
     assert owner == {1: 1, 3: 4, 5: 3, 7: 2}
 
 
-def test_elder_rule_rejects_chiral_input():
-    with pytest.raises(KindMismatch):
-        elder_rule(C(7, C(1), C(2)))
+def zigzag(k):
+    """Minima 0..k-1 interleaved with rising maxima: a merge tree that is a chain of depth k-1."""
+    return seq(*[v for i in range(k - 1) for v in (i, k + i)], k - 1)
+
+
+def test_elder_rule_reads_a_chiral_tree_as_its_forgotten_form():
+    fs = [*small_corpus(), zigzag(2048), seq(*reversed(zigzag(2048).values))]
+    for f in fs:
+        t = merge_tree_of_sequence(f)
+        assert elder_rule(t) == elder_rule(forget_chirality(t)) == barcode_of_sequence(f)
+    # tied leaves: the left one, in pre-order, is the elder on both kinds
+    tied = C(10, C(5, C(1), C(1.0)), C(0))
+    b, owner = elder_rule(tied)
+    assert (b, owner) == elder_rule(forget_chirality(tied))
+    assert [(bar.birth, bar.death) for bar in b.bars] == [(0, math.inf), (1, 10), (1.0, 5)]
+    assert owner == {1: 2, 3: 3, 5: 1}
+    for not_a_tree in (None, (7, 1, 2), seq(1, 7, 2), {"height": 1}):
+        with pytest.raises(KindMismatch):
+            elder_rule(not_a_tree)
 
 
 def test_elder_owner_map_shape():
