@@ -65,16 +65,6 @@ def containers(b: Barcode) -> list[list[int]]:
     return [[k for k, h in enumerate(births[:j], 1) if h <= birth] for j, birth in enumerate(births)]
 
 
-def _choice_counts(b: Barcode) -> list[int]:
-    """mu of every bar 1..N, by one _mu_pass per barcode object; callers must not change the list.
-
-    It is kept in b's instance __dict__, which the frozen Barcode's ==, hash and repr never read.
-    """
-    if "_choice_counts" not in (memo := vars(b)):
-        memo["_choice_counts"] = _mu_pass(b)
-    return memo["_choice_counts"]
-
-
 def _mu_pass(b: Barcode) -> list[int]:
     """mu of every bar 1..N in one O(N log N) pass.
 
@@ -98,8 +88,13 @@ def _mu_pass(b: Barcode) -> list[int]:
 
 
 def count_merge_trees(b: Barcode) -> int:
-    """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N)."""
-    return _product(_choice_counts(b)[1:])
+    """Product of the choice counts over all finite bars (1 for a lone bar); O(N log N), once per barcode object.
+
+    The count is kept in b's instance __dict__, which the frozen Barcode's ==, hash and repr never read.
+    """
+    if "_count" not in (memo := vars(b)):
+        memo["_count"] = _product(_mu_pass(b)[1:])
+    return memo["_count"]
 
 
 def count_cmts(b: Barcode) -> int:
@@ -232,11 +227,13 @@ def check_function_realizable(b: Barcode) -> None:
 
     b is generic, as validate_barcode makes every barcode. Exactly those
     barcodes are realized by functions with pairwise distinct critical
-    values; count and enumerate --functions share this rule.
+    values; count and enumerate --functions and oracle.verify share this rule.
     """
     if b.N < 2:
         raise DegenerateBarcode("a single-bar barcode has no piecewise-linear realization")
-    validate_barcode(b.bars, distinct_births=True)
+    births = b.births
+    if len(set(births)) < b.N:
+        validate_barcode(b.bars, distinct_births=True)  # raises DuplicateBirth, naming the first tie
     bar_of_birth = {bar.birth: j for j, bar in enumerate(b.bars, 1)}
     for d in b.finite_deaths:
         if d in bar_of_birth:

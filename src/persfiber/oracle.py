@@ -5,12 +5,13 @@ formulas or the sublevel sweep: walking the orders of the maxima, they
 generate only the alternating arrangements of the given values, pass each
 through the sequence validator, and group them by barcode with the oracle's
 own Elder Rule, run column-wise over all the candidates of one order at
-once. verify() is the one place the routes meet. It generates the candidates
-once, builds one barcode per group, and reports the formula, the plan
-enumeration and the brute force side by side; its partition check compares
-the size of every fiber that arises from b's critical values with the
-counting formula. Its merge-tree dedup reads the unordered form the chiral
-build writes on each vertex.
+once. verify() is the one place the routes meet. It first applies the
+realizability rule that count and enumerate --functions share, then
+generates the candidates once, builds one barcode per group, and reports the
+formula, the plan enumeration and the brute force side by side; its
+partition check compares the size of every fiber that arises from b's
+critical values with the counting formula. Its merge-tree dedup reads the
+unordered form the chiral build writes on each vertex.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ def _births(px: tuple, rank: dict[Height, int], columns: tuple[tuple, ...]) -> I
 
 
 def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
-    """all_functions(minima, maxima) grouped by barcode: each group sorted, the groups by their least member.
+    """all_functions(minima, maxima) grouped by barcode, in no particular order.
 
     Every candidate is validated once, before any Barcode is built; each group's is built once.
     """
@@ -113,33 +114,34 @@ def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode,
     for (px, raws), fs in zip(orders, checked):
         for key, f in zip(_births(px, rank, tuple(zip(*raws))) if fs else (), fs):
             groups.setdefault(key, []).append(f)
-    for fs in groups.values():
-        fs.sort(key=attrgetter("values"))
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0].values)
-    low = min(ordered[0][1][0].values[0::2]) if ordered else None  # the essential birth
-    return {validate_barcode(zip((*births, low), (*deaths, math.inf))): fs for births, fs in ordered}
+    low = min(next(iter(groups.values()))[0].values[0::2]) if groups else None  # the essential birth
+    return {validate_barcode(zip((*births, low), (*deaths, math.inf))): fs for births, fs in groups.items()}
 
 
 def brute_fiber(b: Barcode) -> list[CriticalSequence]:
-    """Every function realizing b, found by grouping the candidates on b's values by their column-wise pairing.
+    """Every function realizing b, sorted, found by grouping the candidates on b's values by their column-wise pairing.
 
     The barcode's births are the candidate minima and its finite deaths the
     maxima; nothing from the plan enumeration is consulted.
     """
-    return _fibers(b.births, b.finite_deaths).get(b, [])
+    return sorted(_fibers(b.births, b.finite_deaths).get(b, []), key=attrgetter("values"))
 
 
 def verify(b: Barcode) -> dict:
     """Play formula, plan enumeration and brute force against each other.
 
-    The brute force runs first, so an input past MAX_MINIMA or with shared
-    critical values is refused before any tree is built. Its candidates are
-    generated once and paired once, column-wise; grouped by barcode, they give both b's
-    brute fiber and the partition check: every barcode arising from b's
-    critical values a has exactly count_cmts(a) functions. The chiral trees
-    are built once, each vertex written with its unordered canonical form, so
-    the dedup counts the distinct forms of the roots without another walk.
+    The realizability rule runs first (fiber.check_function_realizable), so
+    verify refuses exactly what count and enumerate --functions refuse, and
+    by the same names. The brute force runs next, so an input past
+    MAX_MINIMA is refused before any tree is built. Its candidates are
+    generated once and paired once, column-wise; grouped by barcode, they
+    give both b's brute fiber and the partition check: every barcode arising
+    from b's critical values a has exactly count_cmts(a) functions. The
+    chiral trees are built once, each vertex written with its unordered
+    canonical form, so the dedup counts the distinct forms of the roots
+    without another walk.
     """
+    fiber.check_function_realizable(b)
     groups = _fibers(b.births, b.finite_deaths)
     brute = groups.get(b, [])
     partition_check = all(len(fs) == fiber.count_cmts(a) for a, fs in groups.items())

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from persfiber import ValidationError, validate_barcode, verify
 from persfiber.core import barcode_from_dict, sequence_from_dict, tree_from_dict
 from persfiber.cli import main
 from persfiber.oracle import all_functions
@@ -289,6 +290,19 @@ def test_count_functions_rejects_lone_bar(write, capsys):
         code, _, err = run(capsys, argv + [path])
         assert code == 1, argv
         assert err.startswith("DegenerateBarcode:"), (argv, err)
+
+
+@pytest.mark.parametrize("bars, line", [
+    ([(4, None)], "DegenerateBarcode: a single-bar barcode has no piecewise-linear realization"),
+    ([(1, None), (2, 7), (2, 6)], "DuplicateBirth: bars 2 and 3 share birth 2"),
+    ([(1, None), (2, 7), (3, 4), (4, 6)], "DuplicateValue: death 4 collides with the birth of bar 3"),
+], ids=["lone-bar", "tied-births", "death-on-a-birth"])
+def test_library_verify_refuses_what_the_cli_refuses(bars, line, write, capsys):
+    code, out, err = run(capsys, ["verify", write({"bars": [{"birth": b, "death": d} for b, d in bars]})])
+    assert (code, out, err) == (1, "", line + "\n")
+    with pytest.raises(ValidationError) as exc:
+        verify(validate_barcode(bars))
+    assert f"{type(exc.value).__name__}: {exc.value}" == line
 
 
 def test_reconstruct_rejects_unordered_tree(write, capsys):

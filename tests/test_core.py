@@ -18,11 +18,13 @@ from persfiber import (
     EvenLength,
     InvalidDocument,
     InvalidTree,
+    KindMismatch,
     MultipleInfiniteBars,
     NoInfiniteBar,
     NotAlternating,
     Plateau,
     TooShort,
+    ValidationError,
     forget_chirality,
     merge_tree_of_sequence,
     validate_barcode,
@@ -43,6 +45,7 @@ from persfiber.core import (
     tree_to_dict,
 )
 from persfiber.oracle import all_functions
+from persfiber.trees import to_dot
 
 
 def leaf(h):
@@ -473,3 +476,20 @@ def test_tree_document_shape_errors():
         tree_from_dict({"height": 7, "children": [{"height": 1}, chiral_vertex]})
     with pytest.raises(InvalidTree):
         tree_from_dict({"height": 7, "left": {"height": 8}, "right": {"height": 1}})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: reduce_breakpoints([(0, 1), 5, (1, 2)]), InvalidDocument, "breakpoint 2 is not an (x, y) pair"),
+    (lambda: canonical_form((7, 1, 2)), KindMismatch, "not a merge tree: (7, 1, 2)"),
+    (lambda: barcode_from_dict({"bar": []}), InvalidDocument, 'expected an object with the single key "bars"'),
+    (lambda: barcode_from_dict({"bars": {"birth": 1}}), InvalidDocument, '"bars" must be an array'),
+    (lambda: tree_to_dict({"height": 7}), KindMismatch, "not a merge tree: {'height': 7}"),
+    (lambda: tree_from_dict({"height": 7, "children": {"height": 1}}), InvalidDocument,
+     '"children" must be an array'),
+    (lambda: to_dot([7, 1, 2]), KindMismatch, "not a merge tree: [7, 1, 2]"),
+], ids=["breakpoint-not-a-pair", "canonical-form-of-non-tree", "barcode-document-key", "bars-not-an-array",
+        "tree-to-dict-of-non-tree", "children-not-an-array", "to-dot-of-non-tree"])
+def test_refusals_name_their_class_and_message(call, error, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (error, message)

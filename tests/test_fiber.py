@@ -28,6 +28,7 @@ from persfiber.fiber import (
     AttachmentPlan,
     _product,
     attachment_plans,
+    check_function_realizable,
     containers,
     materialize,
     same_stratum,
@@ -61,7 +62,7 @@ def test_containing_sets_of_nested_barcode():
 
 
 def test_counts_of_nested_barcode():
-    assert fiber._choice_counts(NESTED) == [0, 1, 2, 3]
+    assert fiber._mu_pass(NESTED) == [0, 1, 2, 3]
     assert count_merge_trees(NESTED) == 6
     assert count_cmts(NESTED) == 48
 
@@ -261,6 +262,23 @@ def test_enumerate_functions_needs_distinct_births():
         enumerate_functions(validate_barcode([(1, None), (2, 7), (2, 6)]))
 
 
+def test_the_realizability_gate_revalidates_only_tied_births(monkeypatch):
+    calls = []
+    original = fiber.validate_barcode
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fiber, "validate_barcode", counting)
+    for b in (TWO, THREE, NESTED, validate_barcode([(1, None), (5, 8), (2, 6)])):
+        check_function_realizable(b)
+    assert calls == []
+    with pytest.raises(DuplicateBirth, match=r"^bars 3 and 4 share birth 2$"):
+        check_function_realizable(validate_barcode([(1, None), (3, 9), (2, 7), (2, 6)]))
+    assert len(calls) == 1
+
+
 def test_enumerate_functions_rejects_birth_death_collision():
     # [2, 5) dies exactly where [5, 8) is born; no function with pairwise
     # distinct critical values can carry both
@@ -307,7 +325,7 @@ def test_containment_poset_of_lone_bar():
 def test_mu_counts_the_strict_up_set():
     for b in (NESTED, TWO, THREE):
         c = containers(b)
-        assert fiber._choice_counts(b) == [
+        assert fiber._mu_pass(b) == [
             sum(k in c[j - 1] for k in range(1, b.N + 1)) for j in range(1, b.N + 1)
         ]
 

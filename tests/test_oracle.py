@@ -7,6 +7,7 @@ import persfiber.core as core
 import persfiber.oracle as oracle
 from persfiber import (
     CardinalityMismatch,
+    DuplicateBirth,
     DuplicateValue,
     ScaleCapExceeded,
     enumerate_functions,
@@ -134,7 +135,7 @@ def test_verify_random_barcodes():
 
 
 def test_verify_needs_distinct_births():
-    with pytest.raises(DuplicateValue):
+    with pytest.raises(DuplicateBirth, match="^bars 2 and 3 share birth 2$"):
         verify(validate_barcode([(1, None), (2, 7), (2, 6)]))
 
 
