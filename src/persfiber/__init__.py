@@ -42,7 +42,6 @@ from .fiber import (
 from .oracle import CardinalityMismatch, ScaleCapExceeded, verify
 from .persistence import BadPair, barcode_of_sequence, rank
 from .trees import (
-    TooSmall,
     cmt_to_sequence,
     elder_rule,
     forget_chirality,
@@ -72,7 +71,6 @@ __all__ = [
     "Plateau",
     "ScaleCapExceeded",
     "TooShort",
-    "TooSmall",
     "ValidationError",
     "barcode_of_sequence",
     "cmt_to_sequence",

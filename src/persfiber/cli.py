@@ -25,10 +25,15 @@ from .core import (
 
 
 def _load(path: str) -> object:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, or nesting past the recursion limit
+        raise InvalidDocument(str(exc)) from None
 
 
 def _emit(doc: object) -> None:
@@ -56,8 +61,8 @@ def _print_count(n: int) -> None:
 def _parse_level(text: str) -> float:
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
-        raise InvalidDocument(f"not a number: {text!r}") from None
+    except ValueError as exc:  # a JSONDecodeError, or a plain ValueError for an int past sys.get_int_max_str_digits()
+        raise InvalidDocument(str(exc) if type(exc) is ValueError else f"not a number: {text!r}") from None
     # json takes NaN, which orders against nothing; +-Infinity are real levels
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise InvalidDocument(f"not a number: {text!r}")

@@ -127,20 +127,12 @@ class CriticalSequence:
         object.__setattr__(self, "values", validate_critical_sequence(self.values).values)
 
     @property
-    def k(self) -> int:
-        """Number of local minima."""
-        return (len(self.values) + 1) // 2
-
-    @property
     def minima(self) -> tuple[Height, ...]:
         return self.values[0::2]
 
     @property
     def maxima(self) -> tuple[Height, ...]:
         return self.values[1::2]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def validate_critical_sequence(values: Sequence[Height]) -> CriticalSequence:
@@ -272,10 +264,6 @@ class Barcode:
         return len(self.bars)
 
     @property
-    def essential(self) -> Interval:
-        return self.bars[0]
-
-    @property
     def births(self) -> tuple[Height, ...]:
         return tuple(b.birth for b in self.bars)
 
@@ -402,9 +390,6 @@ class _Walks:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def leaves(self) -> Iterator["Tree"]:
-        return (v for v in self.vertices() if v.is_leaf)
 
     def _listing(self) -> Iterator[tuple]:
         """(class, height, leaf?) of every vertex in pre-order; no listing is a proper prefix of another."""

@@ -19,17 +19,12 @@ from .core import (
     KindMismatch,
     MergeTree,
     Tree,
-    ValidationError,
     _children,
     _fold,
     height_token,
     validate_critical_sequence,
 )
 from .persistence import _elder, _sweep
-
-
-class TooSmall(ValidationError):
-    """Reconstruction needs a tree with at least three vertices."""
 
 
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
@@ -78,17 +73,10 @@ def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
 
 
 def cmt_to_sequence(t: ChiralMergeTree) -> CriticalSequence:
-    """In-order heights of t, validated as a critical sequence.
-
-    Inverse of merge_tree_of_sequence. A lone leaf has no alternating
-    realization, hence TooSmall below three vertices.
-    """
+    """Inverse of merge_tree_of_sequence: the in-order heights of t, validated (a lone leaf is TooShort)."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"cmt_to_sequence takes a ChiralMergeTree, got {type(t).__name__}")
-    vertices = in_order(t)
-    if len(vertices) < 3:
-        raise TooSmall(f"need at least 3 vertices to realize a function, got {len(vertices)}")
-    return validate_critical_sequence(tuple(v.height for v in vertices))
+    return validate_critical_sequence(tuple(v.height for v in in_order(t)))
 
 
 def to_dot(t: Tree) -> str:

@@ -334,6 +334,36 @@ def test_undecodable_file_exits_one(tmp_path, capsys):
     assert err.startswith("UnicodeDecodeError:")
 
 
+NINES = "9" * 5000  # past the 4,300 digits that int() takes from a string
+DEEP = 20_000  # past the nesting every supported json reader takes: the recursion limit, or a C limit of 10,000
+
+
+def _deep_tree(depth):
+    """A chiral tree document nested depth objects deep: a leaf at 0.5 beside each vertex of a left chain."""
+    opening = "".join(f'{{"height": {h}, "left": ' for h in range(depth, 0, -1))
+    return opening + '{"height": 0}' + ', "right": {"height": 0.5}}' * depth
+
+
+@pytest.mark.parametrize("command, text, levels", [
+    ("barcode", f'{{"critical_values": [1, {NINES}, 2]}}', []),
+    ("count", f'{{"bars": [{{"birth": 1, "death": null}}, {{"birth": 2, "death": {NINES}}}]}}', []),
+    ("rank", json.dumps(FN), ["--r", NINES, "--t", "5"]),
+    ("barcode", '{"critical_values": ' + "[" * DEEP + "]" * DEEP + "}", []),
+    ("elder", _deep_tree(DEEP), []),
+], ids=["digits-value", "digits-death", "digits-level", "deep-array", "deep-tree"])
+def test_input_past_the_json_readers_limits_is_refused_by_name(tmp_path, capsys, command, text, levels):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, [command, str(path), *levels])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("InvalidDocument: ")
+
+
+def test_reconstruct_refuses_a_lone_leaf_as_too_short(write, capsys):
+    line = "TooShort: need at least 3 critical values, got 1\n"
+    assert run(capsys, ["reconstruct", write({"height": 3})]) == (1, "", line)
+
+
 def test_rank_rejects_non_numeric_levels(write, capsys):
     code, _, err = run(capsys, ["rank", write(FN), "--r", "low", "--t", "5"])
     assert code == 1

@@ -58,7 +58,7 @@ def leaf(h):
 def test_accepts_minimal_sequence():
     s = validate_critical_sequence([1, 7, 2])
     assert s.values == (1, 7, 2)
-    assert s.k == 2
+    assert len(s.minima) == 2
     assert s.minima == (1, 2)
     assert s.maxima == (7,)
 
@@ -232,7 +232,7 @@ def test_barcode_sorting_and_indices():
         (4, 5, 4),
     ]
     assert b.N == 4
-    assert b.essential.birth == 1
+    assert b.bars[0].birth == 1
 
 
 def test_barcode_order_insensitive():

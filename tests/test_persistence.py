@@ -71,17 +71,17 @@ def test_sweep_output_is_canonical():
 def test_births_are_minima_and_deaths_are_maxima():
     for f in small_corpus():
         b, leaf_to_bar = barcode_of_sequence(f)
-        assert b.N == f.k
+        assert b.N == len(f.minima)
         assert sorted(b.births) == sorted(f.minima)
         assert sorted(b.finite_deaths) == sorted(f.maxima)
-        assert sorted(leaf_to_bar) == list(range(1, 2 * f.k, 2))
-        assert sorted(leaf_to_bar.values()) == list(range(1, f.k + 1))
+        assert sorted(leaf_to_bar) == list(range(1, 2 * len(f.minima), 2))
+        assert sorted(leaf_to_bar.values()) == list(range(1, len(f.minima) + 1))
 
 
 def test_global_min_owns_the_infinite_bar():
     for f in small_corpus():
         b, leaf_to_bar = barcode_of_sequence(f)
-        assert b.essential.birth == min(f.values)
+        assert b.bars[0].birth == min(f.values)
         pos = f.values.index(min(f.values)) + 1
         assert leaf_to_bar[pos] == 1
 

@@ -130,7 +130,7 @@ def test_sweep_barcode_is_elder_rule_of_merge_tree(f):
 def test_merge_tree_round_trip_and_leaf_to_bar(f):
     assert cmt_to_sequence(merge_tree_of_sequence(f)) == f
     barcode, leaf_to_bar = barcode_of_sequence(f)
-    assert sorted(leaf_to_bar) == list(range(1, len(f) + 1, 2))
+    assert sorted(leaf_to_bar) == list(range(1, len(f.values) + 1, 2))
     for pos, index in leaf_to_bar.items():
         assert barcode.bars[index - 1].birth == f.values[pos - 1]
 

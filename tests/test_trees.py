@@ -4,7 +4,7 @@ import pytest
 
 from persfiber import (
     KindMismatch,
-    TooSmall,
+    TooShort,
     barcode_of_sequence,
     cmt_to_sequence,
     elder_rule,
@@ -54,7 +54,7 @@ def test_tree_of_deep_sequence():
 def test_tree_leaves_are_the_minima_in_order():
     for f in small_corpus():
         t = merge_tree_of_sequence(f)
-        assert tuple(leaf.height for leaf in t.leaves()) == f.minima
+        assert tuple(v.height for v in t.vertices() if v.is_leaf) == f.minima
         assert t.height == max(f.values)
 
 
@@ -107,7 +107,7 @@ def test_elder_owner_map_shape():
         t = forget_chirality(merge_tree_of_sequence(f))
         b, owner = elder_rule(t)
         # every leaf owns the bar born at its height, and every bar has one owner
-        assert sorted(owner) == list(range(1, len(f) + 1, 2))
+        assert sorted(owner) == list(range(1, len(f.values) + 1, 2))
         assert sorted(owner.values()) == list(range(1, b.N + 1))
         for pos, index in owner.items():
             assert b.bars[index - 1].birth == f.values[pos - 1]
@@ -120,10 +120,11 @@ def test_elder_owner_map_keys_the_leaves_in_pre_order():
     for f in [*small_corpus(), DEEP, seq(1.5, 5, 3, 6.25, 2.0, 7, 4)]:
         t = forget_chirality(merge_tree_of_sequence(f))
         b, owner = elder_rule(t)
-        assert sorted(owner) == list(range(1, 2 * f.k, 2))
-        births = [b.bars[owner[2 * i - 1] - 1].birth for i in range(1, f.k + 1)]
-        assert births == [v.height for v in t.leaves()]
-        assert [type(h) for h in births] == [type(v.height) for v in t.leaves()]
+        leaves = [v for v in t.vertices() if v.is_leaf]
+        assert sorted(owner) == list(range(1, 2 * len(f.minima), 2))
+        births = [b.bars[owner[2 * i - 1] - 1].birth for i in range(1, len(f.minima) + 1)]
+        assert births == [v.height for v in leaves]
+        assert [type(h) for h in births] == [type(v.height) for v in leaves]
 
 
 @pytest.mark.parametrize("outer_left", [False, True], ids=["inner-first", "inner-last"])
@@ -205,7 +206,7 @@ def test_in_order_is_leftmost_first():
 def test_leaves_land_at_odd_positions():
     for f in small_corpus():
         vertices = in_order(merge_tree_of_sequence(f))
-        assert len(vertices) == 2 * f.k - 1
+        assert len(vertices) == 2 * len(f.minima) - 1
         for i, v in enumerate(vertices, 1):
             assert v.is_leaf == (i % 2 == 1)
 
@@ -221,7 +222,7 @@ def test_tree_round_trip():
 
 
 def test_reconstruction_needs_three_vertices():
-    with pytest.raises(TooSmall):
+    with pytest.raises(TooShort, match="^need at least 3 critical values, got 1$"):
         cmt_to_sequence(C(5))
 
 
