@@ -234,15 +234,10 @@ def reduce_breakpoints(points: Sequence[tuple[Height, Height]]) -> CriticalSeque
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Half-open bar [birth, death); death == math.inf marks the essential bar.
-
-    `index` is the 1-based position after canonical sorting (essential bar
-    first, then finite bars by descending death).
-    """
+    """Half-open bar [birth, death); death == math.inf marks the essential bar."""
 
     birth: Height
     death: Height
-    index: int = 0
 
     @property
     def is_essential(self) -> bool:
@@ -251,13 +246,13 @@ class Interval:
 
 @dataclass(frozen=True)
 class Barcode:
-    """Sorted generic degree-0 barcode, as validate_barcode builds it; bars[0] is the essential bar."""
+    """Sorted generic degree-0 barcode, as validate_barcode builds it: bar j is bars[j - 1], bar 1 the essential one."""
 
     bars: tuple[Interval, ...]
 
     def __post_init__(self):
         if validate_barcode(self.bars).bars != self.bars:
-            raise InvalidDocument("bars must be validate_barcode's Intervals, in its order and with its indices")
+            raise InvalidDocument("bars must be validate_barcode's Intervals, in its order")
 
     @property
     def N(self) -> int:
@@ -358,14 +353,13 @@ def _diagnose_barcode(bars: list, distinct_births: bool) -> Barcode:
 
 
 def _intervals(raw: list, _new=object.__new__, _birth=Interval.birth.__set__,
-               _death=Interval.death.__set__, _index=Interval.index.__set__) -> Barcode:
+               _death=Interval.death.__set__) -> Barcode:
     # Sets the fields as the frozen dataclasses' generated __init__ do, without the calls or their checks.
     bars = []
-    for i, (b, d) in enumerate(raw, 1):
+    for b, d in raw:
         bars.append(bar := _new(Interval))
         _birth(bar, b)
         _death(bar, d)
-        _index(bar, i)
     barcode = _new(Barcode)
     object.__setattr__(barcode, "bars", tuple(bars))
     return barcode

@@ -13,6 +13,7 @@ sharing equal subtrees, and sorts by the canonical form each vertex carries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -255,27 +256,21 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     return [validate_critical_sequence(seq) for seq in level]
 
 
-def _up_down(b: Barcode) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    """Per bar j, the indices of the bars strictly containing it and of those it strictly contains."""
+def _signed_containers(b: Barcode) -> tuple[dict[int, set[int]], dict[int, tuple[int, int]]]:
+    """Per bar j, the bars strictly containing it, and how many bars contain it and it contains."""
     up = {j: set(ks) for j, ks in enumerate(containers(b), 1)}
-    down: dict[int, set[int]] = {j: set() for j in up}
-    for j, ks in up.items():
-        for k in ks:
-            down[k].add(j)
-    return up, down
+    below = Counter(k for ks in up.values() for k in ks)
+    return up, {j: (len(ks), below[j]) for j, ks in up.items()}
 
 
 def same_stratum(b1: Barcode, b2: Barcode) -> bool:
     """Whether two barcodes share a containment-poset isomorphism class.
 
-    Brute-force search over index bijections, pruned by (above, below)
-    count signatures; the essential indices must correspond.
+    Backtracking over b1's bars in index order, pruned by (above, below)
+    count signatures, which also differ in number when N does; the essential
+    indices must correspond.
     """
-    if b1.N != b2.N:
-        return False
-    (up1, down1), (up2, down2) = _up_down(b1), _up_down(b2)
-    sig1 = {j: (len(up1[j]), len(down1[j])) for j in up1}
-    sig2 = {j: (len(up2[j]), len(down2[j])) for j in up2}
+    (up1, sig1), (up2, sig2) = _signed_containers(b1), _signed_containers(b2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return False
 
@@ -283,11 +278,13 @@ def same_stratum(b1: Barcode, b2: Barcode) -> bool:
     used = {1}
 
     def images(j: int) -> Iterator[int]:
-        """The unused bars c of b2 whose used bars above and below are the images of those of bar j of b1."""
-        up = {assigned[k] for k in up1[j] if k in assigned}
-        down = {assigned[k] for k in down1[j] if k in assigned}
+        """The unused bars c of b2 with bar j's signature whose containers are the images of j's.
+
+        j's containers precede it, so all are assigned; no bar inside c is, as c is among its containers.
+        """
+        up = {assigned[k] for k in up1[j]}
         for c in range(2, b2.N + 1):
-            if c not in used and sig2[c] == sig1[j] and up2[c] & used == up and down2[c] & used == down:
+            if c not in used and sig2[c] == sig1[j] and up2[c] == up:
                 yield c
 
     # Backtracking on a stack: tries[-1] yields the images left for bar len(tries) + 1.

@@ -68,7 +68,7 @@ def _elder(fold: Callable[[Callable], tuple[Height, int]]) -> tuple[Barcode, dic
     bars.append((birth, math.inf))
     positions.append(pos)
     barcode = validate_barcode(bars)
-    index_of_death = {bar.death: bar.index for bar in barcode.bars}
+    index_of_death = {bar.death: j for j, bar in enumerate(barcode.bars, 1)}
     return barcode, {pos: index_of_death[d] for pos, (_, d) in zip(positions, bars)}
 
 

@@ -225,11 +225,11 @@ def test_reduce_identifies_reparametrizations():
 
 def test_barcode_sorting_and_indices():
     b = validate_barcode([(3, 6), (1, None), (4, 5), (2, 7)])
-    assert [(bar.birth, bar.death, bar.index) for bar in b.bars] == [
-        (1, math.inf, 1),
-        (2, 7, 2),
-        (3, 6, 3),
-        (4, 5, 4),
+    assert [(j, bar.birth, bar.death) for j, bar in enumerate(b.bars, 1)] == [
+        (1, 1, math.inf),
+        (2, 2, 7),
+        (3, 3, 6),
+        (4, 4, 5),
     ]
     assert b.N == 4
     assert b.bars[0].birth == 1
@@ -248,7 +248,7 @@ def test_barcode_requires_one_infinite_bar():
     with pytest.raises(NoInfiniteBar):
         validate_barcode([(2, 7)])
     with pytest.raises(NoInfiniteBar):
-        Barcode((Interval(0, 9, 1), Interval(1, 5, 2), Interval(2, 5, 3)))  # built by hand, validated all the same
+        Barcode((Interval(0, 9), Interval(1, 5), Interval(2, 5)))  # built by hand, validated all the same
     with pytest.raises(MultipleInfiniteBars):
         validate_barcode([(1, None), (2, None)])
 
@@ -301,21 +301,20 @@ Births = IntEnum("Births", [("LOW", 1), ("MID", 2), ("TOP", 3)])  # module level
 )
 def test_accepted_bars_keep_the_dataclass_contract(bars):
     b = validate_barcode(bars)
-    for i, bar in enumerate(b.bars, 1):
-        reference = Interval(bar.birth, bar.death, index=i)
+    assert [f.name for f in dataclasses.fields(Interval)] == ["birth", "death"]
+    for bar in b.bars:
+        reference = Interval(bar.birth, bar.death)
         assert type(bar) is Interval and not hasattr(bar, "__dict__")
         assert bar == reference and hash(bar) == hash(reference) and repr(bar) == repr(reference)
         with pytest.raises(FrozenInstanceError):
             bar.birth = 0
     for back in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), dataclasses.replace(b)):
         assert back == b and back is not b and hash(back) == hash(b)
-        assert [(type(x.birth), type(x.death), x.index) for x in back.bars] == [
-            (type(x.birth), type(x.death), x.index) for x in b.bars]
+        assert [(type(x.birth), type(x.death)) for x in back.bars] == [(type(x.birth), type(x.death)) for x in b.bars]
     # Built by hand, a barcode must carry exactly the bars validate_barcode gives, in its order.
     with pytest.raises(InvalidDocument):
         Barcode(b.bars[::-1])
-    with pytest.raises(InvalidDocument):
-        Barcode(tuple(Interval(bar.birth, bar.death) for bar in b.bars))
+    assert Barcode(tuple(Interval(bar.birth, bar.death) for bar in b.bars)) == b
 
 
 SMALL_TREES = [
@@ -487,8 +486,9 @@ def test_tree_document_shape_errors():
     (lambda: tree_from_dict({"height": 7, "children": {"height": 1}}), InvalidDocument,
      '"children" must be an array'),
     (lambda: to_dot([7, 1, 2]), KindMismatch, "not a merge tree: [7, 1, 2]"),
+    (lambda: validate_barcode([(1, None), (2, math.nan)]), InvalidDocument, "bar 2 death must not be NaN"),
 ], ids=["breakpoint-not-a-pair", "canonical-form-of-non-tree", "barcode-document-key", "bars-not-an-array",
-        "tree-to-dict-of-non-tree", "children-not-an-array", "to-dot-of-non-tree"])
+        "tree-to-dict-of-non-tree", "children-not-an-array", "to-dot-of-non-tree", "nan-death"])
 def test_refusals_name_their_class_and_message(call, error, message):
     with pytest.raises(ValidationError) as err:
         call()

@@ -118,8 +118,9 @@ def ref_canonical_form(t):
 
 def ref_less(b):
     """(j, k) for every bar j strictly inside bar k, by definition over all pairs."""
-    return {(j.index, k.index) for j in b.bars for k in b.bars
-            if k.birth <= j.birth and j.death <= k.death and (k.birth, k.death) != (j.birth, j.death)}
+    bars = list(enumerate(b.bars, 1))
+    return {(j, k) for j, x in bars for k, y in bars
+            if y.birth <= x.birth and x.death <= y.death and (y.birth, y.death) != (x.birth, x.death)}
 
 
 def ref_signatures(b, less):

@@ -160,6 +160,19 @@ def test_forward_and_count_comparisons_are_n_log_n(stage, c, k):
     assert n <= c * k * math.log2(k)
 
 
+# Comparisons / n for the n = 2k - 1 values, measured at k = 1,000 / 4,000 / 16,000, doubled:
+C_RANK = 1.64  # rank with r = k // 2, t = 3k // 2: 1,631 / 6,507 / 26,104 (0.82 / 0.81 / 0.82)
+C_VALIDATE = 2.0  # validate_critical_sequence, per position as Counted is an int subclass: 1,998 / 7,998 / 31,998 (1.00)
+
+
+@pytest.mark.parametrize("k", [1_000, 4_000, 16_000])
+def test_rank_and_validation_comparisons_are_linear(k):
+    f = random_sequence(k)
+    n = len(f.values)
+    assert _comparisons(lambda g: rank(g, Counted(k // 2), Counted(3 * k // 2)), f) <= C_RANK * n
+    assert _comparisons(validate_critical_sequence, f.values) <= C_VALIDATE * n
+
+
 # enumerate_cmts comparisons per result / (N log2 count) at nested N = 5 / 6 / 7, doubled:
 # 1,118 / 10,407 / 118,949 comparisons for 384 / 3,840 / 46,080 trees (0.068 / 0.038 / 0.024).
 C_ENUMERATE_CMTS = 0.14

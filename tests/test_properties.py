@@ -105,8 +105,8 @@ def sequences(draw, max_size=41):
 
 def containing_set(b, j):
     """Reference: indices of the bars strictly containing bar j, by definition."""
-    return {k.index for k in b.bars
-            if k.birth <= j.birth and j.death <= k.death and (k.birth, k.death) != (j.birth, j.death)}
+    return {k for k, bar in enumerate(b.bars, 1)
+            if bar.birth <= j.birth and j.death <= bar.death and (bar.birth, bar.death) != (j.birth, j.death)}
 
 
 @settings(deadline=None)
@@ -351,7 +351,7 @@ def _reference_validate_barcode(bars, *, distinct_births=False):
             if b in first_at:
                 raise DuplicateBirth(f"bars {first_at[b]} and {j} share birth {b!r}", position=j)
             first_at[b] = j
-    return _unchecked(Barcode, bars=tuple(Interval(b, d, index=i) for i, (b, d) in enumerate(raw, 1)))
+    return _unchecked(Barcode, bars=tuple(Interval(b, d) for b, d in raw))
 
 
 BAR_ODDITIES = [True, False, math.nan, math.inf, -math.inf, None, "7", 10**400, -(10**400), Level.LOW, Level.HIGH, -0.0]
@@ -409,7 +409,7 @@ def _barcode_outcome(validate, bars, **flags):
         b = validate(iter(bars), **flags)
     except Exception as e:
         return type(e), str(e), getattr(e, "position", None)
-    return [(type(x), type(x.birth), repr(x.birth), type(x.death), repr(x.death), x.index) for x in b.bars]
+    return [(type(x), type(x.birth), repr(x.birth), type(x.death), repr(x.death)) for x in b.bars]
 
 
 @settings(deadline=None, max_examples=800)
