@@ -9,6 +9,8 @@ against.
 The top level holds the pipeline and every ValidationError subclass; the
 rest (value classes, JSON codecs, attachment plans, the containment poset
 `fiber.containers`, strata, the brute force) is imported from its own module.
+Importing the package imports every submodule: bench/tracer.py wraps their
+functions right after `import persfiber`, so none may be deferred.
 """
 from .core import (
     BarNotContainedInEssential,

@@ -13,6 +13,7 @@ two can be played against each other.
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Callable, Sequence, TypeVar
 
 from .core import (
@@ -31,16 +32,17 @@ class BadPair(ValidationError):
     """rank(f, r, t) needs r <= t."""
 
 
-def _sweep(values: Sequence[Height], leaf: Callable[[Height, int], T], join: Callable[[Height, T, T], T]) -> T:
+def _sweep(values: Sequence[Height], leaves: list[T], join: Callable[[Height, T, T], T]) -> T:
     """Fold the sublevel components of alternating values bottom-up; return the last one's value.
 
-    Every minimum lies below both neighbouring maxima, so each minimum y at
-    position pos first opens a component valued leaf(y, pos). Then, lowest
-    first, the maximum y joins the components left and right of it into one
-    valued join(y, left value, right value). Only the maxima are compared.
+    Every minimum lies below both neighbouring maxima, so the i-th minimum
+    first opens a component valued leaves[i]. Then, lowest first, the maximum
+    y joins the components left and right of it into one valued
+    join(y, left value, right value). Only the maxima are compared.
     """
     end = list(range(len(values)))  # either end of a live component -> its other end (0-based)
-    value = [leaf(y, i + 1) if i % 2 == 0 else None for i, y in enumerate(values)]  # by left end
+    value: list = [None] * len(values)  # by left end
+    value[0::2] = leaves
     for i in sorted(range(1, len(values), 2), key=values.__getitem__):
         lo, hi = end[i - 1], end[i + 1]
         end[lo], end[hi] = hi, lo
@@ -79,7 +81,7 @@ def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
     to the 1-based index of its bar in the sorted barcode. The minimum that
     opened the surviving component owns the infinite bar. O(n log n).
     """
-    return _elder(lambda join: _sweep(f.values, lambda y, pos: (y, pos), join))
+    return _elder(lambda join: _sweep(f.values, list(zip(f.values[0::2], count(1, 2))), join))
 
 
 def rank(f: CriticalSequence, r: Height, t: Height) -> int:

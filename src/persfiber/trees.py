@@ -29,7 +29,7 @@ from .persistence import _elder, _sweep
 
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
     """Join subtrees across each maximum of f, lowest maximum first."""
-    return _sweep(f.values, lambda y, _: ChiralMergeTree(y), ChiralMergeTree)
+    return _sweep(f.values, list(map(ChiralMergeTree, f.values[0::2])), ChiralMergeTree)
 
 
 def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
@@ -51,8 +51,20 @@ def forget_chirality(t: ChiralMergeTree) -> MergeTree:
     """Drop the left/right order, keeping heights and adjacency."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"forget_chirality takes a ChiralMergeTree, got {type(t).__name__}")
-    return _fold(t, _children, lambda v: MergeTree(v.height),
-                 lambda v, left, right: MergeTree(v.height, (left, right)))
+    order, stack = [], [t]  # vertices root first, right subtree before left: reversed, a post-order
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if v.left is not None:
+            stack += (v.left, v.right)
+    done: list[MergeTree] = []  # copies of the finished subtrees, the right one on top
+    for v in reversed(order):
+        if v.left is None:
+            done.append(MergeTree(v.height))
+        else:
+            right = done.pop()
+            done[-1] = MergeTree(v.height, (done[-1], right))
+    return done[0]
 
 
 def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
@@ -76,7 +88,7 @@ def cmt_to_sequence(t: ChiralMergeTree) -> CriticalSequence:
     """Inverse of merge_tree_of_sequence: the in-order heights of t, validated (a lone leaf is TooShort)."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"cmt_to_sequence takes a ChiralMergeTree, got {type(t).__name__}")
-    return validate_critical_sequence(tuple(v.height for v in in_order(t)))
+    return validate_critical_sequence([v.height for v in in_order(t)])
 
 
 def to_dot(t: Tree) -> str:

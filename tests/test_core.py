@@ -353,11 +353,17 @@ def test_every_vertex_the_package_builds_runs_the_checks(monkeypatch):
     for cls in (MergeTree, ChiralMergeTree):
         original = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda v, _check=original: checked.append(v) or _check(v))
-    t = merge_tree_of_sequence(validate_critical_sequence([3, 9, 1, 8, 2, 7, 0]))
-    u = forget_chirality(t)
-    back = tree_from_dict(tree_to_dict(u))
-    built = [v for tree in (t, u, back) for v in tree.vertices()]
-    assert len(built) == 3 * 7 and {id(v) for v in checked} == {id(v) for v in built}
+    # Once each: the sweep's leaves and the unordered copy neither skip the check nor build spare vertices.
+    # The k=2048 zigzag's chiral tree is a chain 2047 deep.
+    zigzag = [v for i in range(2047) for v in (i, 2048 + i)] + [2047]
+    built = []
+    for values in ([3, 9, 1, 8, 2, 7, 0], zigzag):
+        t = merge_tree_of_sequence(validate_critical_sequence(values))
+        u = forget_chirality(t)
+        back = tree_from_dict(tree_to_dict(u))
+        built += [v for tree in (t, u, back) for v in tree.vertices()]
+    assert len(built) == 3 * (7 + 4095)
+    assert len(checked) == len(built) and {id(v) for v in checked} == {id(v) for v in built}
 
 
 # --- canonical forms and isomorphism

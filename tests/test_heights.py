@@ -29,7 +29,7 @@ from persfiber import (
     validate_critical_sequence,
     verify,
 )
-from persfiber.core import canonical_form, tree_from_dict, tree_to_dict
+from persfiber.core import ChiralMergeTree, MergeTree, canonical_form, tree_from_dict, tree_to_dict
 from persfiber.fiber import attachment_plans, same_stratum
 from persfiber.trees import to_dot
 
@@ -173,14 +173,44 @@ def test_rank_and_validation_comparisons_are_linear(k):
     assert _comparisons(validate_critical_sequence, f.values) <= C_VALIDATE * n
 
 
-# enumerate_cmts comparisons per result / (N log2 count) at nested N = 5 / 6 / 7, doubled:
+# Comparisons per result / (N log2 count) at nested N = 5 / 6 / 7, doubled. enumerate_cmts:
 # 1,118 / 10,407 / 118,949 comparisons for 384 / 3,840 / 46,080 trees (0.068 / 0.038 / 0.024).
 C_ENUMERATE_CMTS = 0.14
+# enumerate_functions, mostly its final sort: 8,426 / 109,289 / 1,591,113 comparisons
+# for 384 / 3,840 / 46,080 functions (0.511 / 0.398 / 0.318).
+C_ENUMERATE_FUNCTIONS = 1.03
+# enumerate_merge_trees: 246 / 1,087 / 5,837 comparisons for 24 / 120 / 720 trees (0.447 / 0.219 / 0.122).
+C_ENUMERATE_MERGE_TREES = 0.9
+
+
+def nested(N):
+    """[0, inf) and [i, 20N - i) for i = 1..N-1, as Counted heights."""
+    return validate_barcode([(Counted(0), None)] + [(Counted(i), Counted(20 * N - i)) for i in range(1, N)])
 
 
 @pytest.mark.parametrize("N", [5, 6, 7])
-def test_enumerate_cmts_comparisons_per_result(N):
-    b = validate_barcode([(Counted(0), None)] + [(Counted(i), Counted(20 * N - i)) for i in range(1, N)])
-    count = count_cmts(b)
-    n = _comparisons(enumerate_cmts, b)
-    assert n / count <= C_ENUMERATE_CMTS * N * math.log2(count)
+@pytest.mark.parametrize("enumerate_, count_, c", [
+    (enumerate_cmts, count_cmts, C_ENUMERATE_CMTS),
+    (enumerate_functions, count_cmts, C_ENUMERATE_FUNCTIONS),
+    (enumerate_merge_trees, count_merge_trees, C_ENUMERATE_MERGE_TREES),
+], ids=["cmts", "functions", "merge_trees"])
+def test_enumerate_comparisons_per_result(enumerate_, count_, c, N):
+    b = nested(N)
+    count = count_(b)
+    n = _comparisons(enumerate_, b)
+    assert n / count <= c * N * math.log2(count)
+
+
+# Vertices built, counted through __post_init__, at nested N = 5 / 6 / 7 against the bound N + (N - 1) * count:
+# enumerate_cmts 559 / 5,202 / 59,471 (1.46 / 1.35 / 1.29 per tree), enumerate_merge_trees 64 / 274 / 1,461 (2.67 / 2.28 / 2.03).
+@pytest.mark.parametrize("N", [5, 6, 7])
+@pytest.mark.parametrize("enumerate_, count_", [
+    (enumerate_cmts, count_cmts), (enumerate_merge_trees, count_merge_trees),
+], ids=["cmts", "merge_trees"])
+def test_enumeration_builds_o_n_vertices_per_result(monkeypatch, enumerate_, count_, N):
+    b = nested(N)
+    built = []
+    for cls in (MergeTree, ChiralMergeTree):
+        monkeypatch.setattr(cls, "__post_init__", lambda v, _check=cls.__post_init__: built.append(v) or _check(v))
+    trees = enumerate_(b)
+    assert len(trees) == count_(b) and len(trees) <= len(built) <= N + (N - 1) * len(trees)  # a root per tree
