@@ -27,8 +27,8 @@ from .core import (
     Tree,
     ValidationError,
     _encoding,
+    _wrap,
     validate_barcode,
-    validate_critical_sequence,
 )
 
 
@@ -247,13 +247,18 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     """Canonical representative of every function class realizing b, sorted by values.
 
     Each is the in-order traversal of a plan's chiral tree, written by the
-    builder on the heights themselves, which check_function_realizable makes
-    pairwise distinct. The tuples are sorted, then validated.
+    builder on the heights themselves, and valid by construction. b is
+    generic, and check_function_realizable makes births pairwise distinct and
+    no death equal to a birth, so all values differ. Bar j goes in as
+    (b_j, d_j) just left of its parent's birth b_k, or as (d_j, b_j) just
+    right of it, with b_k < b_j < d_j. Every maximum already next to b_k is an
+    earlier bar's death, so above d_j. Hence each insertion keeps the sequence
+    alternating, and the sorted tuples are wrapped without re-validation.
     """
     check_function_realizable(b)
     level = _in_order(b.births, (None,) + b.finite_deaths, _choices(b, chiral=True))
     level.sort()
-    return [validate_critical_sequence(seq) for seq in level]
+    return list(map(_wrap, level))
 
 
 def _signed_containers(b: Barcode) -> tuple[dict[int, set[int]], dict[int, tuple[int, int]]]:

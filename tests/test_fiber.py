@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -236,7 +237,7 @@ def test_enumerate_functions_nested():
     assert len({f.values for f in fns}) == 48
 
 
-def test_enumerate_functions_validates_every_output(monkeypatch):
+def test_enumerate_functions_is_valid_by_construction(monkeypatch):
     b = validate_barcode([(1, None), (2, 9), (3, 8), (4, 7), (5, 6)])
     expected = enumerate_functions(b)
     calls = []
@@ -245,11 +246,18 @@ def test_enumerate_functions_validates_every_output(monkeypatch):
         calls.append(values)
         return validate_critical_sequence(values)
 
-    monkeypatch.setattr(fiber, "validate_critical_sequence", counting)
+    # rebind every module-level name of the validator, wherever it was imported
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "persfiber"]:
+        for attr, value in list(vars(module).items()):
+            if value is validate_critical_sequence:
+                monkeypatch.setattr(module, attr, counting)
     fns = enumerate_functions(b)
-    assert len(calls) == count_cmts(b) == 384
+    assert calls == []
     assert fns == expected
     assert [f.values for f in fns] == sorted(f.values for f in fns)
+    assert len(fns) == count_cmts(b) == 384
+    monkeypatch.undo()
+    assert all(f == validate_critical_sequence(f.values) for f in fns)
 
 
 def test_enumerate_functions_needs_two_minima():

@@ -6,15 +6,19 @@ classes. So the chiral counts of all barcodes on those values add up to the
 number of up-down permutations of 2N-1 elements: the tangent number E_{2N-1}
 (Andre 1879; OEIS A000182). The check reaches past the brute force's cap of
 6 minima and uses no plans or enumerators; E comes from the Seidel-Entringer
-boustrophedon, which shares nothing with persfiber.
+boustrophedon, which shares nothing with persfiber. For N <= 5 the functions
+enumerate_functions lists over those barcodes are checked to be exactly the
+up-down permutations, and the brute force's fibers over every split of the
+values into minima and maxima to meet every barcode.
 
 Run as a script with N to print the sum for one N: `python test_tangent.py 8`.
 """
 import sys
+from itertools import combinations
 
 import pytest
 
-from persfiber import count_cmts, enumerate_functions, validate_barcode
+from persfiber import count_cmts, enumerate_functions, oracle, validate_barcode, validate_critical_sequence
 
 
 def euler_zigzag(n):
@@ -73,7 +77,22 @@ def test_chiral_counts_sum_to_the_tangent_number(N, height):
 @pytest.mark.parametrize("height", [int, mixed], ids=["ints", "mixed"])
 @pytest.mark.parametrize("N", range(2, 6))
 def test_enumerated_functions_sum_to_the_tangent_number(N, height):
-    assert sum(len(enumerate_functions(b)) for b in all_barcodes(N, height)) == euler_zigzag(2 * N - 1)
+    fns = [f for b in all_barcodes(N, height) for f in enumerate_functions(b)]
+    assert len(fns) == euler_zigzag(2 * N - 1)
+    # Alternating and pairwise distinct too, so they are exactly the up-down permutations.
+    assert all(f == validate_critical_sequence(f.values) for f in fns)
+    assert len({f.values for f in fns}) == len(fns)
+
+
+@pytest.mark.parametrize("height", [int, mixed], ids=["ints", "mixed"])
+@pytest.mark.parametrize("N", range(2, 6))
+def test_brute_force_fibers_cover_every_barcode(N, height):
+    """Over every split of 1..2N-1 into minima (1 among them) and N-1 maxima, the brute force meets every barcode."""
+    rest = [height(v) for v in range(2, 2 * N)]
+    found = set()
+    for maxima in combinations(rest, N - 1):
+        found |= oracle._fibers([height(1)] + [v for v in rest if v not in maxima], maxima).keys()
+    assert found == set(all_barcodes(N, height))
 
 
 if __name__ == "__main__":
