@@ -69,30 +69,27 @@ def _parse_level(text: str) -> float:
     return value
 
 
-def cmd_barcode(args: argparse.Namespace) -> int:
+def cmd_barcode(args: argparse.Namespace) -> None:
     seq = sequence_from_dict(_load(args.function))
     barcode, _ = persistence.barcode_of_sequence(seq)
     _emit(barcode_to_dict(barcode))
-    return 0
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
+def cmd_tree(args: argparse.Namespace) -> None:
     seq = sequence_from_dict(_load(args.function))
     tree = trees.merge_tree_of_sequence(seq)
     if args.dot:
         sys.stdout.write(trees.to_dot(tree))
     else:
         _emit(tree_to_dict(tree))
-    return 0
 
 
-def cmd_elder(args: argparse.Namespace) -> int:
+def cmd_elder(args: argparse.Namespace) -> None:
     barcode, _ = trees.elder_rule(tree_from_dict(_load(args.tree)))
     _emit(barcode_to_dict(barcode))
-    return 0
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> None:
     barcode = barcode_from_dict(_load(args.barcode))
     if args.mode == "merge-trees":
         _print_count(fiber.count_merge_trees(barcode))
@@ -100,10 +97,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.mode == "functions":
             fiber.check_function_realizable(barcode)
         _print_count(fiber.count_cmts(barcode))
-    return 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> None:
     barcode = barcode_from_dict(_load(args.barcode))
     if args.mode == "merge-trees":
         out = [tree_to_dict(t) for t in fiber.enumerate_merge_trees(barcode)]
@@ -112,25 +108,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         out = [tree_to_dict(t) for t in fiber.enumerate_cmts(barcode)]
     _emit(out)
-    return 0
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
+def cmd_reconstruct(args: argparse.Namespace) -> None:
     seq = trees.cmt_to_sequence(tree_from_dict(_load(args.tree)))
     n = len(seq.values)
     _emit({"breakpoints": [[i / (n - 1), y] for i, y in enumerate(seq.values)]})
-    return 0
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace) -> None:
     seq = sequence_from_dict(_load(args.function))
     r = _parse_level(args.r)
     t = _parse_level(args.t)
     print(persistence.rank(seq, r, t))
-    return 0
 
 
-def cmd_strata(args: argparse.Namespace) -> int:
+def cmd_strata(args: argparse.Namespace) -> None:
     b1 = barcode_from_dict(_load(args.barcode1))
     b2 = barcode_from_dict(_load(args.barcode2))
     out = {"same_stratum": fiber.same_stratum(b1, b2), "posets": []}
@@ -138,12 +131,10 @@ def cmd_strata(args: argparse.Namespace) -> int:
         relations = [[j, k] for j, ks in enumerate(fiber.containers(b), 1) for k in ks]
         out["posets"].append({"n": b.N, "relations": relations})
     _emit(out)
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> None:
     _emit(oracle.verify(barcode_from_dict(_load(args.barcode))))
-    return 0
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
@@ -223,10 +214,11 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

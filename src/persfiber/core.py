@@ -104,7 +104,10 @@ def height_token(h: Height) -> str:
     """
     if isinstance(h, float) and h.is_integer():
         return str(int(h))
-    return repr(h)
+    try:
+        return repr(h)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), which no float equals
+        return hex(h)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +532,7 @@ def canonical_form(tree: Tree) -> str:
     Chiral trees encode verbatim as "(h left right)". Unordered trees sort the
     two child subtrees (by height, then by encoding), so any representation of
     the same tree encodes identically. A lone leaf at height 5 encodes "(5)".
+    An int past the int-to-str digit limit (4,300 digits by default) encodes as its hex().
     """
     if not isinstance(tree, (MergeTree, ChiralMergeTree)):
         raise KindMismatch(f"not a merge tree: {tree!r}")

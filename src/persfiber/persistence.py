@@ -1,14 +1,13 @@
 """Degree-0 persistence of a critical sequence by direct sublevel sweep.
 
-Every minimum lies below both of its neighbouring maxima, so the sweep opens
-all minima first and then takes only the maxima in ascending order. A live
-component of the sublevel set covers positions lo..hi, and either end maps to
-the other, so a maximum at p joins the components ending at p - 1 and
-starting at p + 1 in O(1); the younger (larger birth) dies. The sort of the
-maxima makes it O(n log n); the same sweep also builds the merge tree, and its
-elder pairing `_elder` also serves `trees.elder_rule`. The rank function
-simulates the sublevel sets themselves, independently of any barcode, so the
-two can be played against each other.
+Every minimum lies below both of its neighbouring maxima, and the maximum at
+p joins the two parts of f between p and the nearest higher maximum on either
+side. So the joins are the Cartesian tree of the maxima, with the minima as
+leaves, and one left-to-right pass with a stack folds them in O(n); at each
+join the younger (larger birth) side dies. The same fold also builds the
+merge tree, and its elder pairing `_elder` also serves `trees.elder_rule`.
+The rank function simulates the sublevel sets themselves, independently of
+any barcode, so the two can be played against each other.
 """
 from __future__ import annotations
 
@@ -33,21 +32,20 @@ class BadPair(ValidationError):
 
 
 def _sweep(values: Sequence[Height], leaves: list[T], join: Callable[[Height, T, T], T]) -> T:
-    """Fold the sublevel components of alternating values bottom-up; return the last one's value.
+    """Fold the parts of alternating values at their maxima; return the root's value.
 
-    Every minimum lies below both neighbouring maxima, so the i-th minimum
-    first opens a component valued leaves[i]. Then, lowest first, the maximum
-    y joins the components left and right of it into one valued
-    join(y, left value, right value). Only the maxima are compared.
+    The i-th minimum opens a part valued leaves[i]. Left to right, a maximum y waits on
+    the stack until a higher one comes, then joins its two sides into join(y, left, right);
+    a +inf at both ends closes every pending join. So the joins come in left-first
+    post-order, after at most 2k - 1 comparisons for k minima.
     """
-    end = list(range(len(values)))  # either end of a live component -> its other end (0-based)
-    value: list = [None] * len(values)  # by left end
-    value[0::2] = leaves
-    for i in sorted(range(1, len(values), 2), key=values.__getitem__):
-        lo, hi = end[i - 1], end[i + 1]
-        end[lo], end[hi] = hi, lo
-        value[lo] = join(values[i], value[lo], value[i + 1])
-    return value[0]
+    heights, parts = [math.inf], leaves[:1]  # the waiting maxima, and the value of the part right of each
+    for y, leaf in zip([*values[1::2], math.inf], [*leaves[1:], None]):
+        while heights[-1] < y:
+            parts[-1] = join(heights.pop(), parts.pop(-2), parts[-1])
+        heights.append(y)
+        parts.append(leaf)
+    return parts[0]
 
 
 def _elder(fold: Callable[[Callable], tuple[Height, int]]) -> tuple[Barcode, dict[int, int]]:
@@ -75,11 +73,11 @@ def _elder(fold: Callable[[Callable], tuple[Height, int]]) -> tuple[Barcode, dic
 
 
 def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
-    """Sweep f bottom to top; return its barcode and which minimum owns which bar.
+    """Sweep f; return its barcode and which minimum owns which bar.
 
-    The second value maps the 1-based sequence position of each local minimum
-    to the 1-based index of its bar in the sorted barcode. The minimum that
-    opened the surviving component owns the infinite bar. O(n log n).
+    The second value maps each local minimum's 1-based position in f to the
+    1-based index of its bar in the sorted barcode; the minimum that opened the
+    surviving component owns the infinite bar. O(n log n), for sorting the bars.
     """
     return _elder(lambda join: _sweep(f.values, list(zip(f.values[0::2], count(1, 2))), join))
 

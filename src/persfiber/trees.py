@@ -1,12 +1,13 @@
 """Merge trees of critical sequences and the elder rule on them.
 
-A sequence becomes a chiral merge tree by joining, for each maximum in
-ascending order, the subtrees left and right of it (the O(n log n) sweep of
-`persistence`). The elder rule walks any merge tree bottom-up: at each vertex
-the child subtree with the larger minimum dies, emitting a bar, and the
-smaller minimum survives; it shares the sweep's pairing, `persistence._elder`.
-In-order traversal inverts the construction, which makes function
-reconstruction possible. Walks use explicit stacks, in O(n).
+A sequence becomes a chiral merge tree, the Cartesian tree of its maxima:
+each maximum joins the subtrees between it and the nearest higher maximum on
+either side (the O(n) stack fold of `persistence`). The elder rule walks any
+merge tree bottom-up: at each vertex the child subtree with the larger
+minimum dies, emitting a bar, and the smaller minimum survives; it shares the
+sweep's pairing, `persistence._elder`. In-order traversal inverts the
+construction, which makes function reconstruction possible. Walks use
+explicit stacks, in O(n).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .persistence import _elder, _sweep
 
 
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
-    """Join subtrees across each maximum of f, lowest maximum first."""
+    """Join, at each maximum of f, the subtrees between it and the nearest higher maximum on either side."""
     return _sweep(f.values, list(map(ChiralMergeTree, f.values[0::2])), ChiralMergeTree)
 
 
@@ -39,6 +40,7 @@ def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
     with the i-th leaf in pre-order at position 2i - 1. Either tree kind: a
     chiral tree gives exactly what its forget_chirality gives, positions and
     ties included, so elder_rule(merge_tree_of_sequence(f)) == barcode_of_sequence(f).
+    Both fold in left-first post-order, so even the maps' key orders agree.
     """
     if not isinstance(t, (MergeTree, ChiralMergeTree)):
         raise KindMismatch(f"elder_rule takes a merge tree, got {type(t).__name__}")

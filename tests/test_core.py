@@ -25,10 +25,14 @@ from persfiber import (
     Plateau,
     TooShort,
     ValidationError,
+    enumerate_cmts,
+    enumerate_functions,
+    enumerate_merge_trees,
     forget_chirality,
     merge_tree_of_sequence,
     validate_barcode,
     validate_critical_sequence,
+    verify,
 )
 from persfiber.core import (
     Barcode,
@@ -386,6 +390,18 @@ def test_canonical_form_keeps_chirality():
     b = ChiralMergeTree(7, leaf(2), leaf(1))
     assert canonical_form(a) == "(7 (1) (2))"
     assert canonical_form(b) == "(7 (2) (1))"
+
+
+def test_heights_past_the_int_digit_limit_encode_in_hex():
+    # repr refuses ints past 4,300 digits by default; no float equals one, so hex keeps equal heights on one token.
+    big = 10**5000
+    b = validate_barcode([(0, None), (1, big), (2, big - 1)])
+    cmts, mts = enumerate_cmts(b), enumerate_merge_trees(b)
+    assert (len(cmts), len(enumerate_functions(b)), len(mts)) == (8, 8, 2)
+    h, g = hex(big), hex(big - 1)
+    assert sorted(map(canonical_form, mts)) == [f"({h} (0) ({g} (1) (2)))", f"({h} (1) ({g} (0) (2)))"]
+    assert to_dot(cmts[0]).count(f'[label="{hex(big)}"]') == 1
+    assert verify(b)["all_equal"] is True
 
 
 def test_tree_construction_guards():
