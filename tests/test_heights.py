@@ -173,7 +173,12 @@ def test_rank_and_validation_comparisons_are_linear(k):
     n = len(f.values)
     assert _comparisons(lambda g: rank(g, Counted(k // 2), Counted(3 * k // 2)), f) <= C_RANK * n
     assert _comparisons(validate_critical_sequence, f.values) <= C_VALIDATE * n
-    assert _comparisons(merge_tree_of_sequence, f) <= C_TREE * n
+
+
+@pytest.mark.parametrize("k", [1_000, 4_000, 16_000])
+def test_merge_tree_comparisons_are_linear(k):
+    f = random_sequence(k)
+    assert _comparisons(merge_tree_of_sequence, f) <= C_TREE * len(f.values)
 
 
 # Comparisons per result / (N log2 count) at nested N = 5 / 6 / 7, doubled. enumerate_cmts:
