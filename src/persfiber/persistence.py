@@ -5,7 +5,7 @@ p joins the two parts of f between p and the nearest higher maximum on either
 side. So the joins are the Cartesian tree of the maxima, with the minima as
 leaves, and one left-to-right pass with a stack folds them in O(n); at each
 join the younger (larger birth) side dies. The same fold also builds the
-merge tree, and its elder pairing `_elder` also serves `trees.elder_rule`.
+merge tree, and its elder pairing `_elder`, numbered by one sort, serves `trees.elder_rule`.
 The rank function simulates the sublevel sets themselves, independently of
 any barcode, so the two can be played against each other.
 """
@@ -15,13 +15,7 @@ import math
 from itertools import count
 from typing import Callable, Sequence, TypeVar
 
-from .core import (
-    Barcode,
-    CriticalSequence,
-    Height,
-    ValidationError,
-    validate_barcode,
-)
+from .core import Barcode, CriticalSequence, Height, ValidationError, _DEATH, _intervals
 
 
 T = TypeVar("T")
@@ -48,28 +42,27 @@ def _sweep(values: Sequence[Height], leaves: list[T], join: Callable[[Height, T,
     return parts[0]
 
 
-def _elder(fold: Callable[[Callable], tuple[Height, int]]) -> tuple[Barcode, dict[int, int]]:
-    """Pair the leaves of fold(join) by the elder rule; return the barcode and each position's bar index.
+def _elder(fold: Callable[[Callable], tuple[Height, int]],
+           wrap: Callable[[list], Barcode]) -> tuple[Barcode, dict[int, int]]:
+    """Pair the leaves of fold(join) by the elder rule; return wrap(bars) and each position's bar index.
 
     fold(join) folds (height, position) leaves and returns the root's value. At
     a merge at height y, join keeps the smaller side, on a tie the smaller
-    position, and closes the other's bar at y. Bars are found by their deaths.
+    position, and closes the other's bar at y. One sort by descending death
+    numbers the finite bars after the essential one, which is never compared;
+    wrap turns the sorted (birth, death) pairs into the Barcode.
     """
-    bars: list[tuple[Height, Height]] = []
-    positions: list[int] = []
+    bars: list[tuple[Height, Height, int]] = []  # (birth, death, position) of the finite bars
 
     def join(y: Height, left: tuple[Height, int], right: tuple[Height, int]) -> tuple[Height, int]:
         elder, (birth, pos) = (left, right) if left < right else (right, left)
-        bars.append((birth, y))
-        positions.append(pos)
+        bars.append((birth, y, pos))
         return elder
 
     birth, pos = fold(join)
-    bars.append((birth, math.inf))
-    positions.append(pos)
-    barcode = validate_barcode(bars)
-    index_of_death = {bar.death: j for j, bar in enumerate(barcode.bars, 1)}
-    return barcode, {pos: index_of_death[d] for pos, (_, d) in zip(positions, bars)}
+    bars.sort(key=_DEATH, reverse=True)
+    bars.insert(0, (birth, math.inf, pos))
+    return wrap([(b, d) for b, d, _ in bars]), {pos: j for j, (_, _, pos) in enumerate(bars, 1)}
 
 
 def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
@@ -78,8 +71,11 @@ def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
     The second value maps each local minimum's 1-based position in f to the
     1-based index of its bar in the sorted barcode; the minimum that opened the
     surviving component owns the infinite bar. O(n log n), for sorting the bars.
+    The bars are valid by construction and are not validated again: f's values
+    are distinct, so are the deaths; each birth is a minimum below the maximum
+    that ends its bar; the global minimum alone survives.
     """
-    return _elder(lambda join: _sweep(f.values, list(zip(f.values[0::2], count(1, 2))), join))
+    return _elder(lambda join: _sweep(f.values, list(zip(f.values[0::2], count(1, 2))), join), _intervals)
 
 
 def rank(f: CriticalSequence, r: Height, t: Height) -> int:

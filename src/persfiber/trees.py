@@ -23,6 +23,7 @@ from .core import (
     _children,
     _fold,
     height_token,
+    validate_barcode,
     validate_critical_sequence,
 )
 from .persistence import _elder, _sweep
@@ -40,13 +41,15 @@ def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
     with the i-th leaf in pre-order at position 2i - 1. Either tree kind: a
     chiral tree gives exactly what its forget_chirality gives, positions and
     ties included, so elder_rule(merge_tree_of_sequence(f)) == barcode_of_sequence(f).
-    Both fold in left-first post-order, so even the maps' key orders agree.
+    Both number the bars by one sort, so their maps list positions in bar order.
+    The bars are validated, as the constructors do not check height types and a
+    hand-built tree can tie two deaths or its two lowest leaves.
     """
     if not isinstance(t, (MergeTree, ChiralMergeTree)):
         raise KindMismatch(f"elder_rule takes a merge tree, got {type(t).__name__}")
     positions = count(1, 2)
     return _elder(lambda join: _fold(t, _children, lambda v: (v.height, next(positions)),
-                                     lambda v, left, right: join(v.height, left, right)))
+                                     lambda v, left, right: join(v.height, left, right)), validate_barcode)
 
 
 def forget_chirality(t: ChiralMergeTree) -> MergeTree:

@@ -123,9 +123,10 @@ def test_one_pass_mu_matches_containing_set(b):
 def test_sweep_barcode_is_elder_rule_of_merge_tree(f):
     t = merge_tree_of_sequence(f)
     assert elder_rule(t) == elder_rule(forget_chirality(t)) == barcode_of_sequence(f)
-    # The sweep and the tree fold join in the same left-first post-order, so the owner maps agree key order included.
+    # Both number the bars by one sort and list each owner in bar order, so the owner maps agree key order included.
     owners = list(barcode_of_sequence(f)[1].items())
     assert owners == list(elder_rule(t)[1].items()) == list(elder_rule(forget_chirality(t))[1].items())
+    assert [j for _, j in owners] == list(range(1, len(owners) + 1))
 
 
 @settings(deadline=None)

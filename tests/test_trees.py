@@ -3,6 +3,9 @@ import math
 import pytest
 
 from persfiber import (
+    BarNotContainedInEssential,
+    DuplicateDeath,
+    InvalidDocument,
     KindMismatch,
     TooShort,
     barcode_of_sequence,
@@ -125,6 +128,19 @@ def test_elder_owner_map_keys_the_leaves_in_pre_order():
         births = [b.bars[owner[2 * i - 1] - 1].birth for i in range(1, len(f.minima) + 1)]
         assert births == [v.height for v in leaves]
         assert [type(h) for h in births] == [type(v.height) for v in leaves]
+
+
+def test_elder_rule_refuses_trees_whose_barcode_is_not_generic():
+    # The constructors check neither height types nor ties, so elder_rule validates the bars it builds.
+    two_fives = MergeTree(9, (MergeTree(5, (MergeTree(1), MergeTree(2))), MergeTree(5, (MergeTree(3), MergeTree(4)))))
+    with pytest.raises(DuplicateDeath, match="^bars 3 and 4 share death 5$"):
+        elder_rule(two_fives)
+    with pytest.raises(BarNotContainedInEssential,
+                       match="^bar 2 is born at 1, not strictly after the essential birth 1$"):
+        elder_rule(MergeTree(5, (MergeTree(1), MergeTree(1))))
+    # The essential bar's inf is never compared with the other deaths, so a str tree is refused by name.
+    with pytest.raises(InvalidDocument):
+        elder_rule(MergeTree("b", (MergeTree("a"), MergeTree("a2"))))
 
 
 @pytest.mark.parametrize("outer_left", [False, True], ids=["inner-first", "inner-last"])
