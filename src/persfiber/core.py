@@ -129,14 +129,6 @@ class CriticalSequence:
     def __post_init__(self):
         object.__setattr__(self, "values", validate_critical_sequence(self.values).values)
 
-    @property
-    def minima(self) -> tuple[Height, ...]:
-        return self.values[0::2]
-
-    @property
-    def maxima(self) -> tuple[Height, ...]:
-        return self.values[1::2]
-
 
 def validate_critical_sequence(values: Sequence[Height]) -> CriticalSequence:
     """Check the alternation contract and wrap the values.

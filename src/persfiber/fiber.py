@@ -158,23 +158,21 @@ def _in_order(births: Sequence, deaths: Sequence, choices: list) -> list[tuple]:
     return level
 
 
-def _trees(b: Barcode, choices: list, *, chiral: bool, form: str | None = None) -> list:
+def _trees(b: Barcode, choices: list, *, chiral: bool, encode: bool = True) -> list:
     """The trees the choices allow, in plan order, built chain by chain.
 
     A state holds the open chain of each bar not yet hung, at first its leaf.
-    Bars hang youngest first, at their death on bar k's chain: left on side L,
-    else right. Each choice of bar j is outermost, so bar 2 is the most
-    significant digit; the last reuses the old states, so one plan is O(N).
-    Equal joins in a level are one object. With form "chiral" or "unordered"
-    each chain is (vertex, height, that canonical form), written once per
-    vertex; a chiral tree's unordered form is that of its forget_chirality.
+    Bars hang youngest first, at their death on bar k's chain: left (first in
+    a merge tree) on side L, else right. Each choice of bar j is outermost, so
+    bar 2 is the most significant digit; the last reuses the old states, so
+    one plan is O(N). Equal joins in a level are one object. With encode each
+    chain is (vertex, height, its kind's canonical form), written once per vertex.
     """
     kind = ChiralMergeTree if chiral else MergeTree
     vertex = kind if chiral else lambda height, *children: MergeTree(height, children)
-    ordered = form == "chiral"
-    leaf, join = ((lambda h: (kind(h), *_encoding(h, ordered)),
-                   lambda h, l, r: (vertex(h, l[0], r[0]), *_encoding(h, ordered, l[1:], r[1:])))
-                  if form else (kind, vertex))
+    leaf, join = ((lambda h: (kind(h), *_encoding(h, chiral)),
+                   lambda h, l, r: (vertex(h, l[0], r[0]), *_encoding(h, chiral, l[1:], r[1:])))
+                  if encode else (kind, vertex))
     level = [list(map(leaf, b.births))]  # state[j - 1] is bar j's chain; bar j is last
     for j in range(b.N, 1, -1):
         death, memo = b.bars[j - 1].death, {}  # (id(left), id(right)) -> their join
@@ -200,7 +198,7 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
     back b. A plan that is not one of attachment_plans(b) raises InvalidPlan.
     """
     sides = _check_plan(b, plan)
-    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral)[0]
+    return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral, encode=False)[0]
 
 
 def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
@@ -211,8 +209,7 @@ def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     the formula count exceeds the number of distinct classes. The trees
     share their equal subtrees.
     """
-    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=False), chiral=False, form="unordered"),
-                                  key=lambda t: t[2])]
+    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=False), chiral=False), key=lambda t: t[2])]
 
 
 def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
@@ -222,7 +219,7 @@ def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
     mirror-symmetric siblings can coincide and the formula count exceeds the
     number of distinct classes. The trees share their equal subtrees.
     """
-    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=True), chiral=True, form="chiral"), key=lambda t: t[2])]
+    return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=True), chiral=True), key=lambda t: t[2])]
 
 
 def check_function_realizable(b: Barcode) -> None:
@@ -237,7 +234,7 @@ def check_function_realizable(b: Barcode) -> None:
     births = b.births
     if len(set(births)) < b.N:
         validate_barcode(b.bars, distinct_births=True)  # raises DuplicateBirth, naming the first tie
-    bar_of_birth = {bar.birth: j for j, bar in enumerate(b.bars, 1)}
+    bar_of_birth = {h: j for j, h in enumerate(births, 1)}
     for d in b.finite_deaths:
         if d in bar_of_birth:
             raise DuplicateValue(f"death {d!r} collides with the birth of bar {bar_of_birth[d]}")

@@ -11,7 +11,7 @@ generates the candidates once, builds one barcode per group, and reports the
 formula, the plan enumeration and the brute force side by side; its
 partition check compares the size of every fiber that arises from b's
 critical values with the counting formula. Its merge-tree dedup reads the
-unordered form the chiral build writes on each vertex.
+forms of the merge trees built from the chiral plans.
 """
 from __future__ import annotations
 
@@ -136,30 +136,30 @@ def verify(b: Barcode) -> dict:
     MAX_MINIMA is refused before any tree is built. Its candidates are
     generated once and paired once, column-wise; grouped by barcode, they
     give both b's brute fiber and the partition check: every barcode arising
-    from b's critical values a has exactly count_cmts(a) functions. The
-    chiral trees are built once, each vertex written with its unordered
-    canonical form, so the dedup counts the distinct forms of the roots
-    without another walk.
+    from b's critical values a has exactly count_cmts(a) functions. Each
+    chiral plan is built once, as a merge tree: side L hangs the new chain
+    first, so it is forget_chirality of that plan's chiral tree, and the
+    dedup counts the distinct canonical forms the builder wrote on the roots.
     """
     fiber.check_function_realizable(b)
     groups = _fibers(b.births, b.finite_deaths)
     brute = groups.get(b, [])
     partition_check = all(len(fs) == fiber.count_cmts(a) for a, fs in groups.items())
 
-    cmts = fiber._trees(b, fiber._choices(b, chiral=True), chiral=True, form="unordered")
+    forgotten = fiber._trees(b, fiber._choices(b, chiral=True), chiral=False)  # one per chiral plan
     mts = fiber.enumerate_merge_trees(b)
-    dedup = len({code for _, _, code in cmts})
+    dedup = len({code for _, _, code in forgotten})
     formula_cmt = fiber.count_cmts(b)
     formula_mt = fiber.count_merge_trees(b)
     return {
         "formula_cmt_count": formula_cmt,
-        "enumerated_cmt_count": len(cmts),
+        "enumerated_cmt_count": len(forgotten),
         "brute_count": len(brute),
         "formula_mt_count": formula_mt,
         "enumerated_mt_count": len(mts),
         "dedup_mt_from_cmts": dedup,
         "all_equal": (
-            formula_cmt == len(cmts) == len(brute)
+            formula_cmt == len(forgotten) == len(brute)
             and formula_mt == len(mts) == dedup
         ),
         "partition_check": partition_check,

@@ -70,11 +70,11 @@ def test_sweep_output_is_canonical():
 def test_births_are_minima_and_deaths_are_maxima():
     for f in small_corpus():
         b, leaf_to_bar = barcode_of_sequence(f)
-        assert b.N == len(f.minima)
-        assert sorted(b.births) == sorted(f.minima)
-        assert sorted(b.finite_deaths) == sorted(f.maxima)
-        assert sorted(leaf_to_bar) == list(range(1, 2 * len(f.minima), 2))
-        assert sorted(leaf_to_bar.values()) == list(range(1, len(f.minima) + 1))
+        assert b.N == len(f.values[0::2])
+        assert sorted(b.births) == sorted(f.values[0::2])
+        assert sorted(b.finite_deaths) == sorted(f.values[1::2])
+        assert sorted(leaf_to_bar) == list(range(1, 2 * len(f.values[0::2]), 2))
+        assert sorted(leaf_to_bar.values()) == list(range(1, len(f.values[0::2]) + 1))
 
 
 def test_global_min_owns_the_infinite_bar():

@@ -636,7 +636,7 @@ def test_tree_enumerators_match_the_chain_builder(b):
 def test_built_trees_come_in_plan_order_with_their_canonical_forms(b):
     # Before the enumerators sort, the i-th tree is the i-th plan's, and each carries its own encoding.
     for chiral in (False, True):
-        built = _trees(b, _choices(b, chiral=chiral), chiral=chiral, form="chiral" if chiral else "unordered")
+        built = _trees(b, _choices(b, chiral=chiral), chiral=chiral)
         expected = [_reference_materialize(b, p) for p in _reference_plans(b, chiral)]
         trees = [t for t, _, _ in built]
         assert trees == expected and _reprs(trees) == _reprs(expected)
@@ -646,10 +646,13 @@ def test_built_trees_come_in_plan_order_with_their_canonical_forms(b):
 @settings(deadline=None)
 @given(tied_barcodes())
 def test_dedup_is_the_canonical_form_of_each_forgotten_tree(b):
-    # The chiral build writes each shared vertex's unordered form once; every tree must still read its own.
-    built = _trees(b, _choices(b, chiral=True), chiral=True, form="unordered")
-    cmts = [t for t, _, _ in built]
-    expected = [canonical_form(forget_chirality(t)) for t in cmts]
+    # Built as merge trees, the chiral plans give the forgotten chiral trees, and each reads its own form.
+    cmts = [t for t, _, _ in _trees(b, _choices(b, chiral=True), chiral=True)]
+    built = _trees(b, _choices(b, chiral=True), chiral=False)
+    mts = [t for t, _, _ in built]
+    forgotten = [forget_chirality(t) for t in cmts]
+    assert mts == forgotten and _reprs(mts) == _reprs(forgotten)
+    expected = [canonical_form(t) for t in mts]
     assert [code for _, _, code in built] == expected
     assert [h for _, h, _ in built] == [t.height for t in cmts]
     assert sorted(cmts, key=canonical_form) == enumerate_cmts(b)

@@ -151,7 +151,7 @@ def test_valid_barcodes_never_reach_the_diagnosis(monkeypatch):
         f = validate_critical_sequence(values)
         barcode, _ = barcode_of_sequence(f)
         assert elder_rule(forget_chirality(merge_tree_of_sequence(f)))[0] == barcode
-        assert sorted(bar.birth for bar in barcode.bars) == sorted(f.minima)
+        assert sorted(bar.birth for bar in barcode.bars) == sorted(f.values[0::2])
     n = 6
     check_function_realizable(validate_barcode([(0, None)] + [(i, 2 * n - i) for i in range(1, n)]))
     assert calls == []

@@ -57,7 +57,7 @@ def test_tree_of_deep_sequence():
 def test_tree_leaves_are_the_minima_in_order():
     for f in small_corpus():
         t = merge_tree_of_sequence(f)
-        assert tuple(v.height for v in t.vertices() if v.is_leaf) == f.minima
+        assert tuple(v.height for v in t.vertices() if v.is_leaf) == f.values[0::2]
         assert t.height == max(f.values)
 
 
@@ -115,8 +115,8 @@ def test_elder_owner_map_shape():
         for pos, index in owner.items():
             assert b.bars[index - 1].birth == f.values[pos - 1]
         # every internal vertex kills exactly one bar, and the global minimum's survives
-        assert sorted(b.finite_deaths) == sorted(f.maxima)
-        assert b.bars[owner[f.values.index(min(f.minima)) + 1] - 1].is_essential
+        assert sorted(b.finite_deaths) == sorted(f.values[1::2])
+        assert b.bars[owner[f.values.index(min(f.values[0::2])) + 1] - 1].is_essential
 
 
 def test_elder_owner_map_keys_the_leaves_in_pre_order():
@@ -124,8 +124,8 @@ def test_elder_owner_map_keys_the_leaves_in_pre_order():
         t = forget_chirality(merge_tree_of_sequence(f))
         b, owner = elder_rule(t)
         leaves = [v for v in t.vertices() if v.is_leaf]
-        assert sorted(owner) == list(range(1, 2 * len(f.minima), 2))
-        births = [b.bars[owner[2 * i - 1] - 1].birth for i in range(1, len(f.minima) + 1)]
+        assert sorted(owner) == list(range(1, 2 * len(f.values[0::2]), 2))
+        births = [b.bars[owner[2 * i - 1] - 1].birth for i in range(1, len(f.values[0::2]) + 1)]
         assert births == [v.height for v in leaves]
         assert [type(h) for h in births] == [type(v.height) for v in leaves]
 
@@ -222,7 +222,7 @@ def test_in_order_is_leftmost_first():
 def test_leaves_land_at_odd_positions():
     for f in small_corpus():
         vertices = in_order(merge_tree_of_sequence(f))
-        assert len(vertices) == 2 * len(f.minima) - 1
+        assert len(vertices) == 2 * len(f.values[0::2]) - 1
         for i, v in enumerate(vertices, 1):
             assert v.is_leaf == (i % 2 == 1)
 
