@@ -189,10 +189,10 @@ def test_merge_tree_comparisons_are_linear(k):
 # Comparisons per result / (N log2 count) at nested N = 5 / 6 / 7, doubled. enumerate_cmts:
 # 1,118 / 10,407 / 118,949 comparisons for 384 / 3,840 / 46,080 trees (0.068 / 0.038 / 0.024).
 C_ENUMERATE_CMTS = 0.14
-# enumerate_functions, mostly its final sort, as it validates nothing (the build's index
-# lookups make 642 / 8,328 / 123,535): 5,354 / 70,889 / 1,038,153 comparisons for
-# 384 / 3,840 / 46,080 functions (0.325 / 0.258 / 0.208).
-C_ENUMERATE_FUNCTIONS = 0.65
+# enumerate_functions, the build's index lookups and the sort of each level, which merges
+# 2 mu_j presorted runs, as it validates nothing: 4,644 / 48,181 / 531,517 comparisons for
+# 384 / 3,840 / 46,080 functions (0.282 / 0.176 / 0.106).
+C_ENUMERATE_FUNCTIONS = 0.57
 # enumerate_merge_trees: 246 / 1,087 / 5,837 comparisons for 24 / 120 / 720 trees (0.447 / 0.219 / 0.122).
 C_ENUMERATE_MERGE_TREES = 0.9
 
@@ -213,6 +213,15 @@ def test_enumerate_comparisons_per_result(enumerate_, count_, c, N):
     count = count_(b)
     n = _comparisons(enumerate_, b)
     assert n / count <= c * N * math.log2(count)
+
+
+def test_enumerate_functions_comparisons_per_result_are_o_n():
+    """Comparisons / count / N at nested N = 7 are at most those at N = 5: 1.65 against 2.42.
+
+    One sort of all results would make O(log count) = O(N log N) per result: 3.22 against 2.79.
+    """
+    per_n = [_comparisons(enumerate_functions, nested(N)) / count_cmts(nested(N)) / N for N in (5, 7)]
+    assert per_n[1] <= per_n[0]
 
 
 # Vertices built, counted through __post_init__, at nested N = 5 / 6 / 7 against the bound N + (N - 1) * count:
