@@ -4,8 +4,9 @@ Every minimum lies below both of its neighbouring maxima, and the maximum at
 p joins the two parts of f between p and the nearest higher maximum on either
 side. So the joins are the Cartesian tree of the maxima, with the minima as
 leaves, and one left-to-right pass with a stack folds them in O(n); at each
-join the younger (larger birth) side dies. The same fold also builds the
-merge tree, and its elder pairing `_elder`, numbered by one sort, serves `trees.elder_rule`.
+join the younger (larger birth) side dies. The same fold builds the chiral merge
+tree of f and the unordered one of a chiral tree's in-order heights, and its
+elder pairing `_elder`, numbered by one sort, serves `trees.elder_rule`.
 The rank function simulates the sublevel sets themselves, independently of
 any barcode, so the two can be played against each other.
 """
@@ -28,17 +29,19 @@ class BadPair(ValidationError):
 def _sweep(values: Sequence[Height], leaves: list[T], join: Callable[[Height, T, T], T]) -> T:
     """Fold the parts of alternating values at their maxima; return the root's value.
 
-    The i-th minimum opens a part valued leaves[i]. Left to right, a maximum y waits on
-    the stack until a higher one comes, then joins its two sides into join(y, left, right);
-    a +inf at both ends closes every pending join. So the joins come in left-first
-    post-order, after at most 2k - 1 comparisons for k minima.
+    The i-th minimum opens a part valued leaves[i]. Left to right, a maximum y waits on the stack
+    until a higher one comes, then joins its two sides into join(y, left, right); those still waiting
+    at the end join from the top down. No end marker: maxima are compared only with each other, at
+    most 2(k - 2) times for k minima. The joins come in left-first post-order.
     """
-    heights, parts = [math.inf], leaves[:1]  # the waiting maxima, and the value of the part right of each
-    for y, leaf in zip([*values[1::2], math.inf], [*leaves[1:], None]):
-        while heights[-1] < y:
+    heights, parts = [], leaves[:1]  # the waiting maxima, and the values of the parts around them
+    for y, leaf in zip(values[1::2], leaves[1:]):
+        while heights and heights[-1] < y:
             parts[-1] = join(heights.pop(), parts.pop(-2), parts[-1])
         heights.append(y)
         parts.append(leaf)
+    while heights:
+        parts[-1] = join(heights.pop(), parts.pop(-2), parts[-1])
     return parts[0]
 
 

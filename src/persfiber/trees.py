@@ -1,13 +1,14 @@
 """Merge trees of critical sequences and the elder rule on them.
 
-A sequence becomes a chiral merge tree, the Cartesian tree of its maxima:
-each maximum joins the subtrees between it and the nearest higher maximum on
-either side (the O(n) stack fold of `persistence`). The elder rule walks any
-merge tree bottom-up: at each vertex the child subtree with the larger
-minimum dies, emitting a bar, and the smaller minimum survives; it shares the
-sweep's pairing, `persistence._elder`. In-order traversal inverts the
-construction, which makes function reconstruction possible. Walks use
-explicit stacks, in O(n).
+A sequence becomes a chiral merge tree, the Cartesian tree of its maxima: each maximum
+joins the subtrees between it and the nearest higher maximum on either side (the O(n)
+stack fold of `persistence`). In-order traversal inverts the construction, which makes
+function reconstruction possible. The same fold over a chiral tree's in-order heights
+forgets its chirality: children lie strictly below parents, so a higher common ancestor
+separates any two equal maxima, the fold never compares them, and it rebuilds the tree.
+The elder rule walks any merge tree bottom-up: at each vertex the child subtree with the
+larger minimum dies, emitting a bar, and the smaller minimum survives; it shares the
+sweep's pairing, `persistence._elder`. Walks use explicit stacks, in O(n).
 """
 from __future__ import annotations
 
@@ -53,40 +54,28 @@ def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
 
 
 def forget_chirality(t: ChiralMergeTree) -> MergeTree:
-    """Drop the left/right order, keeping heights and adjacency."""
+    """The unordered merge tree of t's in-order heights: t, its left/right order dropped."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"forget_chirality takes a ChiralMergeTree, got {type(t).__name__}")
-    order, stack = [], [t]  # vertices root first, right subtree before left: reversed, a post-order
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if v.left is not None:
-            stack += (v.left, v.right)
-    done: list[MergeTree] = []  # copies of the finished subtrees, the right one on top
-    for v in reversed(order):
-        if v.left is None:
-            done.append(MergeTree(v.height))
-        else:
-            right = done.pop()
-            done[-1] = MergeTree(v.height, (done[-1], right))
-    return done[0]
+    heights = [v.height for v in in_order(t)]
+    return _sweep(heights, list(map(MergeTree, heights[0::2])), lambda y, left, right: MergeTree(y, (left, right)))
 
 
 def in_order(t: ChiralMergeTree) -> list[ChiralMergeTree]:
-    """Left subtree, vertex, right subtree; leaves land at the odd positions."""
+    """Left subtree, vertex, right subtree, walked down left links; leaves land at the odd positions."""
     if not isinstance(t, ChiralMergeTree):
         raise KindMismatch(f"in_order takes a ChiralMergeTree, got {type(t).__name__}")
-    out: list[ChiralMergeTree] = []
-    stack: list = [t]  # vertices still to walk, and (vertex,) for one whose left subtree is done
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            out.append(node[0])
-        elif node.left is None:
-            out.append(node)
-        else:
-            stack += (node.right, (node,), node.left)
-    return out
+    out, stack = [], []  # the walk so far, and the vertices whose left subtree it is in
+    while True:
+        while t.left is not None:
+            stack.append(t)
+            t = t.left
+        out.append(t)
+        if not stack:
+            return out
+        t = stack.pop()
+        out.append(t)
+        t = t.right
 
 
 def cmt_to_sequence(t: ChiralMergeTree) -> CriticalSequence:

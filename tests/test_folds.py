@@ -1,7 +1,8 @@
 """The bottom-up tree fold against the recursive walks it replaced, and a guard against recursion.
 
-The references below are the recursive tree codecs, DOT writer and poset
-search that `core._fold` and the stack search of `same_stratum` replaced.
+The references below are the recursive tree codecs, DOT writer, chiral
+walks and poset search that `core._fold`, the left-link walk of `in_order`,
+the sweep of `forget_chirality` and the stack search of `same_stratum` replaced.
 They are kept here, verbatim in behaviour, so the iterative versions can be
 held to the same values, the same errors and the same order of errors. The
 poset search reads its own relation, by the definition of strict containment
@@ -31,7 +32,7 @@ from persfiber.core import (
     tree_to_dict,
 )
 from persfiber.fiber import same_stratum
-from persfiber.trees import to_dot
+from persfiber.trees import in_order, to_dot
 
 # --- recursive references
 
@@ -114,6 +115,18 @@ def ref_canonical_form(t):
     else:
         first, second = sorted(t.children, key=lambda c: (c.height, ref_canonical_form(c)))
     return f"({height_token(t.height)} {ref_canonical_form(first)} {ref_canonical_form(second)})"
+
+
+def ref_in_order(t):
+    if t.is_leaf:
+        return [t]
+    return ref_in_order(t.left) + [t] + ref_in_order(t.right)
+
+
+def ref_forget_chirality(t):
+    if t.is_leaf:
+        return MergeTree(t.height)
+    return MergeTree(t.height, (ref_forget_chirality(t.left), ref_forget_chirality(t.right)))
 
 
 def ref_less(b):
@@ -278,6 +291,14 @@ def test_elder_rule_of_a_chiral_tree_is_that_of_its_forgotten_form(t):
             return type(exc).__name__, str(exc)
 
     assert outcome(t) == outcome(persfiber.forget_chirality(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees().filter(lambda t: isinstance(t, ChiralMergeTree)))
+def test_in_order_and_forget_chirality_match_the_recursive_references(t):
+    """Equal internal heights in different subtrees, and int/float twins, are what the sweep's rebuild must get right."""
+    assert list(map(id, in_order(t))) == list(map(id, ref_in_order(t)))
+    assert repr(persfiber.forget_chirality(t)) == repr(ref_forget_chirality(t))
 
 
 @settings(max_examples=500, deadline=None)

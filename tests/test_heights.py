@@ -144,7 +144,7 @@ def random_sequence(k):
 
 
 # Comparisons / (k log2 k) measured at k = 1,000 / 4,000 / 16,000, doubled:
-# barcode_of_sequence, mostly the one sort of the bars: 12,568 / 58,438 / 265,692 (1.26 / 1.22 / 1.19)
+# barcode_of_sequence, mostly the one sort of the bars: 12,558 / 58,428 / 265,683 (1.26 / 1.22 / 1.19)
 C_BARCODE = 2.6
 C_COUNT = 0.2  # count_cmts: 999 / 3,999 / 15,999 (0.100 / 0.084 / 0.072)
 # elder_rule on the unordered tree (the chiral one gives the same counts): the one sort, then
@@ -168,7 +168,8 @@ def test_forward_and_count_comparisons_are_n_log_n(stage, c, k):
 # Comparisons / n for the n = 2k - 1 values, measured at k = 1,000 / 4,000 / 16,000, doubled:
 C_RANK = 1.64  # rank with r = k // 2, t = 3k // 2: 1,631 / 6,507 / 26,104 (0.82 / 0.81 / 0.82)
 C_VALIDATE = 2.0  # validate_critical_sequence, per position as Counted is an int subclass: 1,998 / 7,998 / 31,998 (1.00)
-# merge_tree_of_sequence, at most 2k - 1 in the fold and 2(k - 1) in the vertex checks: 3,991 / 15,988 / 63,983 (2.00)
+# merge_tree_of_sequence, and forget_chirality of its tree, each at most 2(k - 2) in the fold
+# and 2(k - 1) in the vertex checks: 3,981 / 15,978 / 63,974 (1.99 / 2.00 / 2.00)
 C_TREE = 4.0
 
 
@@ -184,6 +185,7 @@ def test_rank_and_validation_comparisons_are_linear(k):
 def test_merge_tree_comparisons_are_linear(k):
     f = random_sequence(k)
     assert _comparisons(merge_tree_of_sequence, f) <= C_TREE * len(f.values)
+    assert _comparisons(forget_chirality, merge_tree_of_sequence(f)) <= C_TREE * len(f.values)
 
 
 # Comparisons per result / (N log2 count) at nested N = 5 / 6 / 7, doubled. enumerate_cmts:

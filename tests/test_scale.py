@@ -50,6 +50,7 @@ def test_forward_round_trip_on_deep_zigzag(deep):
     f, ((t, _), (unordered, _)) = deep
     barcode, _ = barcode_of_sequence(f)
     assert elder_rule(unordered)[0] == barcode
+    assert preorder(unordered) == preorder(t)
     assert cmt_to_sequence(t) == f
     # Staggered bars: only the essential bar contains each finite one.
     assert count_merge_trees(barcode) == 1

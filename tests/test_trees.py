@@ -189,6 +189,13 @@ def test_forget_chirality_rejects_unordered_input():
         forget_chirality(MergeTree(5))
 
 
+def test_forget_chirality_and_in_order_compare_heights_only_with_each_other():
+    """String heights: a comparison with a numeric end marker would raise TypeError."""
+    t = C("z", C("a"), C("m", C("b"), C("c")))
+    assert forget_chirality(t) == MergeTree("z", (MergeTree("a"), MergeTree("m", (MergeTree("b"), MergeTree("c")))))
+    assert list(map(id, in_order(t))) == list(map(id, [t.left, t, t.right.left, t.right, t.right.right]))
+
+
 # --- in-order traversal and reconstruction
 
 
