@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import fiber, oracle, persistence, trees
@@ -118,9 +117,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def cmd_rank(args: argparse.Namespace) -> None:
     seq = sequence_from_dict(_load(args.function))
-    r = _parse_level(args.r)
-    t = _parse_level(args.t)
-    print(persistence.rank(seq, r, t))
+    print(persistence.rank(seq, _parse_level(args.r), _parse_level(args.t)))
 
 
 def cmd_strata(args: argparse.Namespace) -> None:
@@ -139,18 +136,9 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--chiral", dest="mode", action="store_const", const="chiral",
-        help="chiral merge trees (the default)",
-    )
-    group.add_argument(
-        "--merge-trees", dest="mode", action="store_const", const="merge-trees",
-        help="unordered merge trees",
-    )
-    group.add_argument(
-        "--functions", dest="mode", action="store_const", const="functions",
-        help="function representatives (needs pairwise distinct births)",
-    )
+    for mode, text in [("chiral", "chiral merge trees (the default)"), ("merge-trees", "unordered merge trees"),
+                       ("functions", "function representatives (needs pairwise distinct births)")]:
+        group.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode, help=text)
     p.set_defaults(mode="chiral")
 
 
@@ -209,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse takes -1e3 and -Infinity for options
-        if argv[i - 1] in ("--r", "--t") and re.match(r"-(\d|Infinity$)", argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes a level starting with - (-1e3, -inf) for an option
+        flag, level = argv[i - 1:i + 1]
+        if flag in ("--r", "--t") and level[:1] == "-" and level.split("=")[0] not in ("-h", "--help", "--r", "--t"):
+            argv[i - 1:i + 1] = [f"{flag}={level}"]
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -7,12 +7,28 @@ serialized as JSON null.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Height = Union[int, float]
+
+
+def _gc_paused(build: Callable) -> Callable:
+    """build, with the cyclic collector off while it runs if it was on, and on again after it returns or raises."""
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():  # off by the caller, or by an outer or concurrent paused call: left off
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class ValidationError(ValueError):
@@ -570,6 +586,7 @@ def barcode_from_dict(doc: object) -> Barcode:
     return validate_barcode(pairs)
 
 
+@_gc_paused
 def tree_to_dict(t: Tree) -> dict:
     if isinstance(t, ChiralMergeTree):
         join = lambda v, left, right: {"height": v.height, "left": left, "right": right}
@@ -580,6 +597,7 @@ def tree_to_dict(t: Tree) -> dict:
     return _fold(t, _children, lambda v: {"height": v.height}, join)
 
 
+@_gc_paused
 def tree_from_dict(doc: object) -> Tree:
     """Decode a tree document; the root's keys pick the kind.
 

@@ -28,6 +28,7 @@ from .core import (
     Tree,
     ValidationError,
     _encoding,
+    _gc_paused,
     validate_barcode,
 )
 
@@ -208,6 +209,7 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
     return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral, encode=False)[0]
 
 
+@_gc_paused
 def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     """Every merge tree realizing b, in plan order, then stably sorted by canonical form.
 
@@ -219,6 +221,7 @@ def enumerate_merge_trees(b: Barcode) -> list[MergeTree]:
     return [t for t, *_ in sorted(_trees(b, _choices(b, chiral=False), chiral=False), key=lambda t: t[2])]
 
 
+@_gc_paused
 def enumerate_cmts(b: Barcode) -> list[ChiralMergeTree]:
     """Every chiral merge tree realizing b, in plan order, then stably sorted by canonical form.
 
@@ -247,6 +250,7 @@ def check_function_realizable(b: Barcode) -> None:
             raise DuplicateValue(f"death {d!r} collides with the birth of bar {bar_of_birth[d]}")
 
 
+@_gc_paused
 def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     """Canonical representative of every function class realizing b, sorted by values.
 

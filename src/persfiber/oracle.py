@@ -27,6 +27,7 @@ from .core import (
     DuplicateValue,
     Height,
     ValidationError,
+    _gc_paused,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -127,6 +128,7 @@ def brute_fiber(b: Barcode) -> list[CriticalSequence]:
     return sorted(_fibers(b.births, b.finite_deaths).get(b, []), key=attrgetter("values"))
 
 
+@_gc_paused
 def verify(b: Barcode) -> dict:
     """Play formula, plan enumeration and brute force against each other.
 

@@ -16,7 +16,7 @@ import math
 from itertools import count
 from typing import Callable, Sequence, TypeVar
 
-from .core import Barcode, CriticalSequence, Height, ValidationError, _DEATH, _intervals
+from .core import Barcode, CriticalSequence, Height, ValidationError, _DEATH, _gc_paused, _intervals
 
 
 T = TypeVar("T")
@@ -68,6 +68,7 @@ def _elder(fold: Callable[[Callable], tuple[Height, int]],
     return wrap([(b, d) for b, d, _ in bars]), {pos: j for j, (_, _, pos) in enumerate(bars, 1)}
 
 
+@_gc_paused
 def barcode_of_sequence(f: CriticalSequence) -> tuple[Barcode, dict[int, int]]:
     """Sweep f; return its barcode and which minimum owns which bar.
 

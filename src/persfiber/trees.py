@@ -23,6 +23,7 @@ from .core import (
     Tree,
     _children,
     _fold,
+    _gc_paused,
     height_token,
     validate_barcode,
     validate_critical_sequence,
@@ -30,11 +31,13 @@ from .core import (
 from .persistence import _elder, _sweep
 
 
+@_gc_paused
 def merge_tree_of_sequence(f: CriticalSequence) -> ChiralMergeTree:
     """Join, at each maximum of f, the subtrees between it and the nearest higher maximum on either side."""
     return _sweep(f.values, list(map(ChiralMergeTree, f.values[0::2])), ChiralMergeTree)
 
 
+@_gc_paused
 def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
     """Bottom-up elder rule: the younger side of every vertex dies there, the right one on a tie.
 
@@ -53,6 +56,7 @@ def elder_rule(t: Tree) -> tuple[Barcode, dict[int, int]]:
                                      lambda v, left, right: join(v.height, left, right)), validate_barcode)
 
 
+@_gc_paused
 def forget_chirality(t: ChiralMergeTree) -> MergeTree:
     """The unordered merge tree of t's in-order heights: t, its left/right order dropped."""
     if not isinstance(t, ChiralMergeTree):

@@ -388,6 +388,18 @@ def test_rank_takes_negative_levels_after_a_space(write, capsys, level, rank):
     assert run(capsys, ["rank", path, "--r", level, "--t", "5"]) == run(capsys, ["rank", path, f"--r={level}", "--t=5"])
 
 
+@pytest.mark.parametrize("level", ["-.5e3", "-NaN", "-inf"])
+def test_rank_refuses_other_negative_spellings_after_a_space_by_name(write, capsys, level):
+    line = f"InvalidDocument: not a number: {level!r}\n"
+    assert run(capsys, ["rank", write(FN), "--r", level, "--t", "10"]) == (1, "", line)
+    assert run(capsys, ["rank", write(FN), "--r", "1", "--t", level]) == (1, "", line)
+    # An option name after --r is still a usage error, not a level.
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", write(FN), "--r", "--t", "10"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
