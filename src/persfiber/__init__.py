@@ -15,8 +15,10 @@ functions right after `import persfiber`, so none may be deferred.
 barcode_of_sequence, merge_tree_of_sequence, forget_chirality, elder_rule, the three
 enumerators, verify and core.tree_to_dict and tree_from_dict pause the cyclic garbage
 collector, process-wide, while they run. A call that finds it on turns it back on when it
-returns or raises; one that finds it off (by the caller, or by an outer or concurrent call)
-leaves it off. Their objects are acyclic, so reference counting frees them all:
+returns or raises; one that finds it off (by the caller or an outer call) leaves it off.
+Under threads this is best-effort: a call that starts inside another thread's pause may end
+with the collector on, and a gc.disable() from another thread is undone when a pause ends.
+Their objects are acyclic, so reference counting frees them all:
 tests/test_gc.py checks that gc.collect() finds nothing after each.
 """
 from .core import (

@@ -117,7 +117,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def cmd_rank(args: argparse.Namespace) -> None:
     seq = sequence_from_dict(_load(args.function))
-    print(persistence.rank(seq, _parse_level(args.r), _parse_level(args.t)))
+    r = _parse_level(args.r)
+    t = _parse_level(args.t)
+    print(persistence.rank(seq, r, t))
 
 
 def cmd_strata(args: argparse.Namespace) -> None:
@@ -136,9 +138,18 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
-    for mode, text in [("chiral", "chiral merge trees (the default)"), ("merge-trees", "unordered merge trees"),
-                       ("functions", "function representatives (needs pairwise distinct births)")]:
-        group.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode, help=text)
+    group.add_argument(
+        "--chiral", dest="mode", action="store_const", const="chiral",
+        help="chiral merge trees (the default)",
+    )
+    group.add_argument(
+        "--merge-trees", dest="mode", action="store_const", const="merge-trees",
+        help="unordered merge trees",
+    )
+    group.add_argument(
+        "--functions", dest="mode", action="store_const", const="functions",
+        help="function representatives (needs pairwise distinct births)",
+    )
     p.set_defaults(mode="chiral")
 
 
@@ -197,11 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    rank_options = parser._subparsers._group_actions[0].choices["rank"]._option_string_actions
     for i in range(len(argv) - 1, 0, -1):  # argparse takes a level starting with - (-1e3, -inf) for an option
         flag, level = argv[i - 1:i + 1]
-        if flag in ("--r", "--t") and level[:1] == "-" and level.split("=")[0] not in ("-h", "--help", "--r", "--t"):
+        # As argparse reads it, a value starting with "--" or with one of rank's short options (-h) stays an option.
+        if flag in ("--r", "--t") and level[:1] == "-" and level[:2] != "--" and level[:2] not in rank_options:
             argv[i - 1:i + 1] = [f"{flag}={level}"]
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         args.func(args)
     except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:

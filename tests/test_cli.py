@@ -393,11 +393,12 @@ def test_rank_refuses_other_negative_spellings_after_a_space_by_name(write, caps
     line = f"InvalidDocument: not a number: {level!r}\n"
     assert run(capsys, ["rank", write(FN), "--r", level, "--t", "10"]) == (1, "", line)
     assert run(capsys, ["rank", write(FN), "--r", "1", "--t", level]) == (1, "", line)
-    # An option name after --r is still a usage error, not a level.
-    with pytest.raises(SystemExit) as exc:
-        main(["rank", write(FN), "--r", "--t", "10"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # An option name, a prefix of one or "--" after --r is still a usage error, not a level.
+    for option in ("--t", "--he", "--", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", write(FN), "--r", option, "--t", "10"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_usage_errors_exit_two(capsys):
