@@ -23,20 +23,26 @@ from .core import (
 )
 
 
-def _load(path: str) -> object:
+def _json(call, *args):
+    """Make one json call. json's two limits, an int past sys.get_int_max_str_digits() (ValueError) and nesting past
+    the recursion limit (RecursionError), read or written, become InvalidDocument, which keeps the class name."""
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return call(*args)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
-    except (ValueError, RecursionError) as exc:  # an int past the digit limit, or nesting past the recursion limit
-        raise InvalidDocument(str(exc)) from None
+    except (ValueError, RecursionError) as exc:
+        raise InvalidDocument(f"{type(exc).__name__}: {exc}") from None
+
+
+def _load(path: str) -> object:
+    if path == "-":
+        return _json(json.load, sys.stdin)
+    with open(path, encoding="utf-8") as fh:
+        return _json(json.load, fh)
 
 
 def _emit(doc: object) -> None:
-    print(json.dumps(doc))
+    print(_json(json.dumps, doc))
 
 
 def _print_count(n: int) -> None:
@@ -59,9 +65,9 @@ def _print_count(n: int) -> None:
 
 def _parse_level(text: str) -> float:
     try:
-        value = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or a plain ValueError for an int past sys.get_int_max_str_digits()
-        raise InvalidDocument(str(exc) if type(exc) is ValueError else f"not a number: {text!r}") from None
+        value = _json(json.loads, text)
+    except json.JSONDecodeError:
+        raise InvalidDocument(f"not a number: {text!r}") from None
     # json takes NaN, which orders against nothing; +-Infinity are real levels
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise InvalidDocument(f"not a number: {text!r}")
@@ -103,7 +109,7 @@ def cmd_enumerate(args: argparse.Namespace) -> None:
     if args.mode == "merge-trees":
         out = [tree_to_dict(t) for t in fiber.enumerate_merge_trees(barcode)]
     elif args.mode == "functions":
-        out = [list(f.values) for f in fiber.enumerate_functions(barcode)]
+        out = [f.values for f in fiber.enumerate_functions(barcode)]
     else:
         out = [tree_to_dict(t) for t in fiber.enumerate_cmts(barcode)]
     _emit(out)

@@ -96,7 +96,7 @@ class KindMismatch(ValidationError):
 
 
 class InvalidDocument(ValidationError):
-    """Malformed JSON document: wrong shape, wrong key, or a non-number height."""
+    """Malformed JSON document: wrong shape, wrong key, a non-number height, or past json's limits, read or written."""
 
 
 class InvalidTree(ValidationError):

@@ -1,13 +1,25 @@
+import contextlib
 import decimal
 import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from persfiber import ValidationError, validate_barcode, verify
-from persfiber.core import barcode_from_dict, sequence_from_dict, tree_from_dict
+from persfiber import (
+    ValidationError,
+    forget_chirality,
+    merge_tree_of_sequence,
+    validate_barcode,
+    validate_critical_sequence,
+    verify,
+)
+from persfiber.core import barcode_from_dict, sequence_from_dict, tree_from_dict, tree_to_dict
 from persfiber.cli import main
 from persfiber.oracle import all_functions
 
@@ -359,6 +371,37 @@ def test_input_past_the_json_readers_limits_is_refused_by_name(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("InvalidDocument: ")
 
 
+def _zigzag(k):
+    """Minima 0..k-1 interleaved with rising maxima: its chiral tree is a chain k-1 deep."""
+    return [v for i in range(k - 1) for v in (i, k + i)] + [k - 1]
+
+
+def _staggered(n):
+    """{[0, inf)} and [i, n + i) for i = 1..n-1: its fiber is one merge tree, n-1 levels deep."""
+    return {"bars": [{"birth": 0, "death": None}] + [{"birth": i, "death": n + i} for i in range(1, n)]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["tree"], {"critical_values": _zigzag(2048)}),
+    (["tree"], {"critical_values": _zigzag(2048)[::-1]}),
+    (["enumerate", "--merge-trees"], _staggered(1500)),
+], ids=["zigzag", "zigzag-mirrored", "staggered"])
+def test_output_past_the_json_writers_limit_is_refused_by_name(write, capsys, argv, doc):
+    code, out, err = run(capsys, [*argv, write(doc)])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("InvalidDocument: RecursionError: ")
+
+
+def test_trees_well_inside_the_json_writers_limit_are_written(write, capsys, monkeypatch):
+    code, out, _ = run(capsys, ["enumerate", "--merge-trees", write(_staggered(300))])
+    assert code == 0 and len(json.loads(out)) == 1
+    function = write({"critical_values": _zigzag(601)}, "f.json")
+    code, tree, _ = run(capsys, ["tree", function])
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(tree))
+    assert run(capsys, ["elder", "-"]) == run(capsys, ["barcode", function])
+
+
 def test_reconstruct_refuses_a_lone_leaf_as_too_short(write, capsys):
     line = "TooShort: need at least 3 critical values, got 1\n"
     assert run(capsys, ["reconstruct", write({"height": 3})]) == (1, "", line)
@@ -409,3 +452,141 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--chiral", "--merge-trees", "x.json"])
     assert exc.value.code == 2
+
+
+# --- the contract over every subcommand: exit 0, or exit 1 with one named line and nothing on stdout
+
+
+def _names(cls):
+    return {cls.__name__}.union(*map(_names, cls.__subclasses__()))
+
+
+REFUSALS = _names(ValidationError) | {"JSONDecodeError", "UnicodeDecodeError"} | _names(OSError)
+
+
+def _rarely(common, rare, one_in=10):
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == 1 else common)
+
+
+def _mixed(values):
+    """Each value as an int or as a float."""
+    return st.tuples(*(st.sampled_from([v, float(v)]) for v in values)).map(list)
+
+
+def _wiggle(values):
+    """values reordered by one pass of swaps to alternate minimum, maximum, ...: distinct values stay valid."""
+    values = list(values)
+    for i in range(len(values) - 1):
+        if (values[i] > values[i + 1]) == (i % 2 == 0):
+            values[i], values[i + 1] = values[i + 1], values[i]
+    return values
+
+
+def _tree_of(drawn):
+    values, unordered = drawn
+    tree = merge_tree_of_sequence(validate_critical_sequence(values))
+    return tree_to_dict(forget_chirality(tree) if unordered else tree)
+
+
+NUMBERS = st.integers(0, 9).flatmap(lambda v: st.sampled_from([v, float(v)]))  # int/float mixes, and ties
+HEIGHTS = _rarely(NUMBERS, st.sampled_from([True, None, "7", [], math.nan, math.inf]))
+ALTERNATING = st.integers(1, 4).flatmap(lambda m: st.permutations(range(2 * m + 1))).map(_wiggle).flatmap(_mixed)
+VALUES = _rarely(ALTERNATING, st.lists(HEIGHTS, max_size=7), one_in=3).map(lambda v: {"critical_values": v})
+TREES = st.one_of(
+    st.tuples(ALTERNATING, st.booleans()).map(_tree_of),
+    st.recursive(
+        st.fixed_dictionaries({"height": HEIGHTS}),
+        lambda kids: st.one_of(
+            st.fixed_dictionaries({"height": HEIGHTS, "left": kids, "right": kids}),
+            st.fixed_dictionaries({"height": HEIGHTS, "children": st.lists(kids, min_size=1, max_size=3)}),
+        ),
+        max_leaves=6,
+    ),
+)
+
+
+@st.composite
+def _barcodes(draw):
+    """At most 7 bars, as enumerate has no cap yet: mostly valid, often with tied births, and now and then one
+    flaw: no essential bar, two bars dying together, a bar born with the essential one or dying where it is born."""
+    base = draw(NUMBERS)
+    bars = [{"birth": base, "death": None}]
+    for death in draw(st.permutations(range(2, 16)))[:draw(st.integers(0, 6))]:
+        birth, death = draw(_mixed([base + draw(st.integers(1, death - 1)), base + death]))
+        bars.append({"birth": birth, "death": death})
+    last = bars[-1]
+    flawed = st.sampled_from([
+        bars[1:],
+        bars + [last],
+        bars + [{"birth": base, "death": last["death"]}],
+        bars + [{"birth": last["birth"], "death": last["birth"]}],
+    ])
+    stray = st.fixed_dictionaries({"birth": HEIGHTS, "death": st.none() | HEIGHTS}).map(lambda bar: bars + [bar])
+    return {"bars": draw(_rarely(st.just(bars), flawed | stray))}
+
+
+def _files(docs):
+    """The bytes of a file holding one of docs, or rarely of no document (None stands for a missing file)."""
+    return _rarely(docs.map(lambda doc: json.dumps(doc).encode()), st.sampled_from([
+        None, b"{not json", b"\xff\xfe" + json.dumps(FN).encode("utf-16-le"),
+        f'{{"critical_values": [1, {NINES}, 2]}}'.encode(), ("[" * DEEP + "]" * DEEP).encode(),
+    ]))
+
+
+BARCODES = _barcodes()
+FUNCTION = _files(_rarely(VALUES, st.one_of(TREES, BARCODES), one_in=5))
+TREE = _files(_rarely(TREES, VALUES, one_in=5))
+BARCODE = _files(_rarely(BARCODES, TREES, one_in=5))
+LEVEL = _rarely(NUMBERS.map(json.dumps), st.sampled_from(["low", "NaN", "-inf", "-Infinity", "1e400", "", NINES]))
+MODE = st.sampled_from(["--chiral", "--merge-trees", "--functions"])
+CALLS = _rarely(
+    st.one_of(
+        st.tuples(st.sampled_from(["barcode", "tree", "tree --dot"]), FUNCTION),
+        st.tuples(st.sampled_from(["elder", "reconstruct"]), TREE),
+        st.tuples(st.sampled_from(["count", "enumerate"]), MODE, BARCODE),
+        st.tuples(st.just("rank"), FUNCTION, LEVEL.map("--r={}".format), LEVEL.map("--t={}".format)),
+        st.tuples(st.just("strata"), BARCODE, BARCODE),
+        st.tuples(st.just("verify"), BARCODE),
+    ),
+    # Trees past json's writer's limit: tree and enumerate --merge-trees refuse them by name, the rest answer.
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["tree", "tree --dot", "barcode"]),
+            st.integers(2000, 3000).map(lambda k: json.dumps({"critical_values": _zigzag(k)}).encode()),
+        ),
+        st.tuples(
+            st.sampled_from(["count", "enumerate"]), st.just("--merge-trees"),
+            st.integers(600, 1500).map(lambda n: json.dumps(_staggered(n)).encode()),
+        ),
+    ),
+    one_in=20,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(call=CALLS)
+@example(call=("tree", json.dumps({"critical_values": _zigzag(2500)}).encode()))
+@example(call=("enumerate", "--merge-trees", json.dumps(_staggered(1000)).encode()))
+def test_every_subcommand_answers_or_refuses_on_one_named_line(call):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for i, part in enumerate(call):
+            if isinstance(part, str):
+                argv += part.split()
+            else:  # a document, written to a file; None stands for a missing one
+                path = Path(tmp, f"{i}.json")
+                if part is not None:
+                    path.write_bytes(part)
+                argv.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        name, sep, _ = err.partition(": ")
+        assert sep and name in REFUSALS, err
