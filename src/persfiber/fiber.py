@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     _encoding,
     _gc_paused,
+    _wrap_all,
     validate_barcode,
 )
 
@@ -265,10 +266,7 @@ def enumerate_functions(b: Barcode) -> list[CriticalSequence]:
     without re-validation.
     """
     check_function_realizable(b)
-    level = _in_order(b.births, (None,) + b.finite_deaths, _choices(b, chiral=True))
-    out = list(map(object.__new__, repeat(CriticalSequence, len(level))))
-    any(map(CriticalSequence.values.__set__, out, level))  # __set__ returns None, so any runs it on every pair
-    return out
+    return _wrap_all(_in_order(b.births, (None,) + b.finite_deaths, _choices(b, chiral=True)))
 
 
 def _signed_containers(b: Barcode) -> tuple[dict[int, set[int]], dict[int, tuple[int, int]]]:

@@ -2,10 +2,10 @@
 
 all_functions and brute_fiber know nothing about attachment plans, counting
 formulas or the sublevel sweep: walking the orders of the maxima, they
-generate only the alternating arrangements of the given values, pass each
-through the sequence validator, and group them by barcode with the oracle's
-own Elder Rule, run column-wise over all the candidates of one order at
-once. verify() is the one place the routes meet. It first applies the
+generate only the alternating arrangements of the given values, validate them
+and group them by barcode with the oracle's own Elder Rule, both column-wise
+over all the candidates of one order at once in the brute force. verify() is
+the one place the routes meet. It first applies the
 realizability rule that count and enumerate --functions share, then
 generates the candidates once, builds one barcode per group, and reports the
 formula, the plan enumeration and the brute force side by side; its
@@ -28,6 +28,7 @@ from .core import (
     Height,
     ValidationError,
     _gc_paused,
+    _validate_rows,
     validate_barcode,
     validate_critical_sequence,
 )
@@ -105,15 +106,15 @@ def _births(px: tuple, rank: dict[Height, int], columns: tuple[tuple, ...]) -> I
 def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
     """all_functions(minima, maxima) grouped by barcode, in no particular order.
 
-    Every candidate is validated once, before any Barcode is built; each group's is built once.
+    One transpose per order serves validation and pairing; every candidate is validated before each group's Barcode.
     """
-    orders = list(_by_order(minima, maxima))
-    checked = [list(map(validate_critical_sequence, raws)) for _, raws in orders]
-    deaths = sorted(orders[0][0])
+    deaths = sorted(maxima)
     rank = {z: r for r, z in enumerate(deaths)}
     groups: dict[tuple[Height, ...], list[CriticalSequence]] = {}
-    for (px, raws), fs in zip(orders, checked):
-        for key, f in zip(_births(px, rank, tuple(zip(*raws))) if fs else (), fs):
+    for px, raws in _by_order(minima, deaths):
+        columns = tuple(zip(*raws))
+        fs = _validate_rows(raws, columns)
+        for key, f in zip(_births(px, rank, columns) if fs else (), fs):
             groups.setdefault(key, []).append(f)
     low = min(next(iter(groups.values()))[0].values[0::2]) if groups else None  # the essential birth
     return {validate_barcode(zip((*births, low), (*deaths, math.inf))): fs for births, fs in groups.items()}

@@ -7,6 +7,9 @@ from dataclasses import FrozenInstanceError
 from enum import IntEnum
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_heights import Counted, Exact
 
 from persfiber import (
     BarNotContainedInEssential,
@@ -40,6 +43,7 @@ from persfiber.core import (
     CriticalSequence,
     Interval,
     MergeTree,
+    _validate_rows,
     barcode_from_dict,
     barcode_to_dict,
     canonical_form,
@@ -164,6 +168,77 @@ def test_non_finite_height_outranks_a_broken_alternation():
     with pytest.raises(InvalidDocument) as err:
         validate_critical_sequence([1, float("nan"), 5, 9, 2])
     assert err.value.position == 2
+
+
+# --- _validate_rows: the batch form validate_critical_sequence's callers see as list(map(...))
+
+SPOILS = ["none"] * 6 + [
+    "bool", "nan", "inf", "-inf", "huge", "Exact", "Counted", "duplicate", "swap", "between", "drop", "append",
+]
+LIFTS = {"Exact": Exact, "Counted": Counted}  # applied in the test, as Hypothesis cannot print an Exact
+VALID3, VALID5 = ((1, 7, 2), None, 0), ((1, 7, 2, 6, 3), None, 0)  # pad examples to the 4 rows the columns need
+
+
+@st.composite
+def row_batches(draw):
+    """Rows of one odd length, mostly valid (minima below maxima, some floats), some spoiled one way.
+
+    Each comes as (row, lift, i): an int subclass named by lift replaces the int at position i.
+    """
+    n = draw(st.sampled_from((3, 5, 7, 9)))
+    specs = []
+    for _ in range(draw(st.integers(0, 8))):
+        pool = sorted(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True)))
+        lows, highs = draw(st.permutations(pool[: n // 2 + 1])), draw(st.permutations(pool[n // 2 + 1:]))
+        # a whole int, an equal float, or a float between two ints: distinct and alternating either way
+        forms = [draw(st.sampled_from((int, float, lambda x: x + 0.5))) for _ in range(n)]
+        row = [form(v) for form, v in zip(forms, [*(x for p in zip(lows, highs) for x in p), lows[-1]])]
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(SPOILS))
+        if kind in ("bool", "nan", "inf", "-inf", "huge"):
+            row[i] = {"bool": draw(st.booleans()), "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                      "huge": draw(st.sampled_from((10**400, -(10**400))))}[kind]
+        elif kind == "duplicate":
+            row[i] = row[draw(st.integers(0, n - 1).filter(lambda j: j != i))]
+        elif kind == "swap":
+            row[i - 1], row[i] = row[i], row[i - 1]
+        elif kind == "between" and 0 < i < n - 1:  # fails the rise or the fall beside it, not both
+            row[i] = (row[i - 1] + row[i + 1]) / 2
+        elif kind == "drop":
+            del row[-draw(st.integers(1, 2)):]
+        elif kind == "append":
+            row.append(draw(st.sampled_from(row) | st.integers(-50, 50)))
+        specs.append((tuple(row), kind if kind in LIFTS and type(row[i]) is int else None, i))
+    return specs
+
+
+def _outcome(validate, rows):
+    """What a validator gave: each wrap's type, values and value types, or the error's class, message and position."""
+    try:
+        out = validate(rows)
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.position
+    assert all(s.values is row for s, row in zip(out, rows))
+    return [(type(s), s.values, tuple(map(type, s.values))) for s in out]
+
+
+@settings(deadline=None, max_examples=300)
+@given(row_batches())
+@example([])
+@example([VALID3] * 3 + [((1.5, 10**400, 2.5), None, 0)])  # the OverflowError path, accepted by the diagnosis
+@example([VALID3] * 3 + [((1, 7, 2), "Exact", 1), ((1, 7, 2), "Counted", 0)])
+@example([VALID3] * 3 + [((1, 7, 2, 6, 3), None, 0)])  # unequal lengths: the columns stop at the shortest row
+@example([VALID3] * 3 + [((1, 7, 2, 7, 2), None, 0)])  # ... and past them, three distinct values in five
+@example([((1, 7, 2, 6), None, 0)] * 4)
+@example([VALID3] * 3 + [((0, True, 0.5), None, 0)])  # a bool that alternates
+@example([VALID5] * 3 + [((1, 7, 2, 7, 1), None, 0)])  # repeats that alternate
+@example([VALID5] * 3 + [((1, 7, 6.5, 6, 3), None, 0)])  # one rise fails, every fall holds
+@example([VALID5] * 3 + [((1, 5, 6, 9, 2), None, 0)])  # one fall fails, every rise holds
+@example([((1,), None, 0), ((2,), None, 0)] * 2)
+def test_validate_rows_is_validate_critical_sequence_on_each_row(specs):
+    rows = [row if lift is None else (*row[:i], LIFTS[lift](row[i]), *row[i + 1:]) for row, lift, i in specs]
+    expected = _outcome(lambda rs: list(map(validate_critical_sequence, rs)), rows)
+    assert _outcome(lambda rs: _validate_rows(rs, tuple(zip(*rs))), rows) == expected
 
 
 # --- reduce_breakpoints

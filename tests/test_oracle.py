@@ -9,6 +9,7 @@ from persfiber import (
     CardinalityMismatch,
     DuplicateBirth,
     DuplicateValue,
+    NotAlternating,
     ScaleCapExceeded,
     enumerate_functions,
     validate_barcode,
@@ -190,12 +191,14 @@ def test_verify_builds_one_barcode_per_fiber(monkeypatch):
     b = nested(5)
     candidates = len(all_functions(b.births, b.finite_deaths))
     fibers = len(oracle._fibers(b.births, b.finite_deaths))
-    calls = {"validate_critical_sequence": 0, "validate_barcode": 0}
+    # Sequences through the validators: the rows of each batch, and each sequence validated alone, as a
+    # batch that fails its fast path is; each candidate must go through exactly once.
+    calls = {"_validate_rows": 0, "validate_critical_sequence": 0, "validate_barcode": 0}
     for name in calls:
         original = getattr(core, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            calls[_name] += len(args[0]) if _name == "_validate_rows" else 1
             return _original(*args, **kwargs)
 
         # rebind every module-level name of the validator, wherever it was imported
@@ -204,8 +207,36 @@ def test_verify_builds_one_barcode_per_fiber(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     assert verify(nested(5))["partition_check"]
-    assert calls["validate_critical_sequence"] == candidates
+    assert calls["_validate_rows"] + calls["validate_critical_sequence"] == candidates
     assert calls["validate_barcode"] <= fibers + 1  # plus the input, built by nested(5)
+
+
+@pytest.mark.parametrize(
+    "spoil, error",
+    [
+        (lambda v: (v[1], v[0]) + v[2:], NotAlternating),  # opens on a maximum
+        (lambda v: v[:2] + (v[0],) + v[3:], DuplicateValue),  # repeats its first minimum
+    ],
+    ids=["not-alternating", "repeated-value"],
+)
+def test_verify_refuses_a_broken_candidate_as_the_validator_does(monkeypatch, spoil, error):
+    original = oracle._by_order
+    spoiled = []
+
+    def broken(minima, maxima):
+        for i, (px, raws) in enumerate(original(minima, maxima)):
+            if i == 1:  # the second order gains one bad candidate, after its valid ones
+                spoiled.append(spoil(raws[0]))
+                raws = raws + spoiled
+            yield px, raws
+
+    monkeypatch.setattr(oracle, "_by_order", broken)
+    with pytest.raises(error) as caught:
+        verify(NESTED)
+    with pytest.raises(error) as expected:
+        core.validate_critical_sequence(spoiled[0])
+    assert str(caught.value) == str(expected.value)
+    assert caught.value.position == expected.value.position is not None
 
 
 def _names(code):
