@@ -191,8 +191,8 @@ def test_verify_builds_one_barcode_per_fiber(monkeypatch):
     b = nested(5)
     candidates = len(all_functions(b.births, b.finite_deaths))
     fibers = len(oracle._fibers(b.births, b.finite_deaths))
-    # Sequences through the validators: the rows of each batch, and each sequence validated alone, as a
-    # batch that fails its fast path is; each candidate must go through exactly once.
+    # Rows handed to _validate_rows plus sequences validated alone, which a batch's fallback adds again:
+    # nested(5)'s orders of 120 candidates all pass the column path, so each candidate counts once.
     calls = {"_validate_rows": 0, "validate_critical_sequence": 0, "validate_barcode": 0}
     for name in calls:
         original = getattr(core, name)
