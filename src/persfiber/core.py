@@ -196,8 +196,7 @@ def _validate_rows(rows: list[tuple], columns: tuple[tuple, ...]) -> list[Critic
     """list(map(validate_critical_sequence, rows)) for tuples, its fast path run once over their columns, zip(*rows)."""
     n = len(columns)
     try:
-        # Below 4 rows, validating one row at a time costs less than the fixed cost of the columns.
-        if (len(rows) > 3 and n % 2 and n >= 3
+        if (n % 2 and n >= 3
                 and (types := set(map(type, chain.from_iterable(columns)))) <= {int, float}
                 and set(map(len, rows)) == set(map(len, map(set, rows))) == {n}
                 and (float not in types or all(map(math.isfinite, chain.from_iterable(columns))))
@@ -298,7 +297,7 @@ class Barcode:
 
     @property
     def finite_deaths(self) -> tuple[Height, ...]:
-        return tuple(b.death for b in self.bars if not b.is_essential)
+        return tuple(b.death for b in self.bars[1:])
 
 
 BarLike = Union[Interval, tuple]
@@ -334,7 +333,7 @@ def validate_barcode(bars: Iterable[BarLike], *, distinct_births: bool = False) 
     DuplicateDeath, BarNotContainedInEssential, DuplicateBirth.
     """
     bars = [(bar.birth, bar.death) if isinstance(bar, Interval) else bar for bar in bars]
-    if bars and set(map(type, bars)) == {tuple} and set(map(len, bars)) == {2}:
+    if set(map(type, bars)) == {tuple} and set(map(len, bars)) == {2}:
         births = [b for b, _ in bars]
         deaths = [math.inf if d is None else d for _, d in bars]
         # Between plain numbers, b < d is False at any NaN and at a +inf birth; min() catches -inf.

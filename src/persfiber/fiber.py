@@ -124,25 +124,6 @@ def attachment_plans(b: Barcode, *, chiral: bool) -> list[AttachmentPlan]:
             for combo in product(*per_bar)]
 
 
-def _check_plan(b: Barcode, plan: AttachmentPlan) -> tuple[str, ...]:
-    """The plan's sides, all R if unordered; O(N).
-
-    Raises InvalidPlan unless each bar j >= 2 has a side and a parent k < j born at or below it.
-    """
-    bars, parents = b.bars, plan.parents
-    if len(parents) != len(bars) - 1:
-        raise InvalidPlan(f"a plan for {len(bars)} bars needs {len(bars) - 1} parents, got {len(parents)}")
-    sides = plan.sides if plan.chiral else ("R",) * len(parents)
-    if len(sides) != len(parents):
-        raise InvalidPlan(f"got {len(sides)} sides for {len(parents)} parents")
-    for j, (k, side) in enumerate(zip(parents, sides), 2):
-        if type(k) is not int or not 1 <= k < j or not bars[k - 1].birth <= bars[j - 1].birth:
-            raise InvalidPlan(f"parent {k!r} of bar {j} does not strictly contain it", position=j)
-        if side not in ("L", "R"):
-            raise InvalidPlan(f"side of bar {j} must be 'L' or 'R', got {side!r}", position=j)
-    return sides
-
-
 def _in_order(births: Sequence, deaths: Sequence, choices: list) -> list[tuple]:
     """In-order critical values of every chiral realization the choices allow, sorted.
 
@@ -204,9 +185,20 @@ def materialize(b: Barcode, plan: AttachmentPlan) -> Tree:
 
     Bar j hangs at its death height on its parent's chain, beside the
     parent's continuation (first in an unordered tree); the elder rule gives
-    back b. A plan that is not one of attachment_plans(b) raises InvalidPlan.
+    back b. A plan that is not one of attachment_plans(b) raises InvalidPlan:
+    each bar j >= 2 needs a side and a parent k < j born at or below it.
     """
-    sides = _check_plan(b, plan)
+    bars, parents = b.bars, plan.parents
+    if len(parents) != len(bars) - 1:
+        raise InvalidPlan(f"a plan for {len(bars)} bars needs {len(bars) - 1} parents, got {len(parents)}")
+    sides = plan.sides if plan.chiral else ("R",) * len(parents)
+    if len(sides) != len(parents):
+        raise InvalidPlan(f"got {len(sides)} sides for {len(parents)} parents")
+    for j, (k, side) in enumerate(zip(parents, sides), 2):
+        if type(k) is not int or not 1 <= k < j or not bars[k - 1].birth <= bars[j - 1].birth:
+            raise InvalidPlan(f"parent {k!r} of bar {j} does not strictly contain it", position=j)
+        if side not in ("L", "R"):
+            raise InvalidPlan(f"side of bar {j} must be 'L' or 'R', got {side!r}", position=j)
     return _trees(b, [((k,), (s,)) for k, s in zip(plan.parents, sides)], chiral=plan.chiral, encode=False)[0]
 
 

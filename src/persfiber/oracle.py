@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import permutations
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import fiber
 from .core import (
@@ -103,7 +103,7 @@ def _births(px: tuple, rank: dict[Height, int], columns: tuple[tuple, ...]) -> I
     return zip(*births)
 
 
-def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode, list[CriticalSequence]]:
+def _fibers(minima: Sequence[Height], maxima: Sequence[Height]) -> dict[Barcode, list[CriticalSequence]]:
     """all_functions(minima, maxima) grouped by barcode, in no particular order.
 
     One transpose per order serves validation and pairing; every candidate is validated before each group's Barcode.
@@ -116,7 +116,7 @@ def _fibers(minima: Iterable[Height], maxima: Iterable[Height]) -> dict[Barcode,
         fs = _validate_rows(raws, columns)
         for key, f in zip(_births(px, rank, columns) if fs else (), fs):
             groups.setdefault(key, []).append(f)
-    low = min(next(iter(groups.values()))[0].values[0::2]) if groups else None  # the essential birth
+    low = min(minima)  # every candidate holds every minimum: the essential birth
     return {validate_barcode(zip((*births, low), (*deaths, math.inf))): fs for births, fs in groups.items()}
 
 

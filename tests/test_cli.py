@@ -508,12 +508,12 @@ TREES = st.one_of(
 
 
 @st.composite
-def _barcodes(draw):
-    """At most 7 bars, as enumerate has no cap yet: mostly valid, often with tied births, and now and then one
+def _barcodes(draw, most=7):
+    """At most `most` bars (7, as enumerate has no cap yet): mostly valid, often with tied births, and now and then one
     flaw: no essential bar, two bars dying together, a bar born with the essential one or dying where it is born."""
     base = draw(NUMBERS)
     bars = [{"birth": base, "death": None}]
-    for death in draw(st.permutations(range(2, 16)))[:draw(st.integers(0, 6))]:
+    for death in draw(st.permutations(range(2, 16)))[:draw(st.integers(0, most - 1))]:
         birth, death = draw(_mixed([base + draw(st.integers(1, death - 1)), base + death]))
         bars.append({"birth": birth, "death": death})
     last = bars[-1]
@@ -536,6 +536,7 @@ def _files(docs):
 
 
 BARCODES = _barcodes()
+SMALL_BARCODES = _barcodes(most=4).map(lambda doc: json.dumps(doc).encode())  # of 4 bars or fewer, often one stratum
 FUNCTION = _files(_rarely(VALUES, st.one_of(TREES, BARCODES), one_in=5))
 TREE = _files(_rarely(TREES, VALUES, one_in=5))
 BARCODE = _files(_rarely(BARCODES, TREES, one_in=5))
@@ -566,12 +567,10 @@ CALLS = _rarely(
 )
 
 
-@settings(deadline=None, max_examples=200)
-@given(call=CALLS)
-@example(call=("tree", json.dumps({"critical_values": _zigzag(DEEP + 1)}).encode()))
-@example(call=("enumerate", "--merge-trees", json.dumps(_staggered(1000)).encode()))
-def test_every_subcommand_answers_or_refuses_on_one_named_line(call):
-    with tempfile.TemporaryDirectory() as tmp:
+def _main(*call, tmp=None):
+    """main's exit code, stdout and stderr on a call of strings, split at spaces, and documents' bytes, put in files
+    in tmp or in a fresh directory."""
+    with contextlib.nullcontext(tmp) if tmp else tempfile.TemporaryDirectory() as tmp:
         argv = []
         for i, part in enumerate(call):
             if isinstance(part, str):
@@ -584,7 +583,15 @@ def test_every_subcommand_answers_or_refuses_on_one_named_line(call):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=200)
+@given(call=CALLS)
+@example(call=("tree", json.dumps({"critical_values": _zigzag(DEEP + 1)}).encode()))
+@example(call=("enumerate", "--merge-trees", json.dumps(_staggered(1000)).encode()))
+def test_every_subcommand_answers_or_refuses_on_one_named_line(call):
+    code, out, err = _main(*call)
     assert code in (0, 1)
     if code == 0:
         assert err == ""
@@ -593,3 +600,29 @@ def test_every_subcommand_answers_or_refuses_on_one_named_line(call):
         assert err.endswith("\n") and err.count("\n") == 1, err
         name, sep, _ = err.partition(": ")
         assert sep and name in REFUSALS, err
+
+
+# --- the contract between subcommands: where one answers, those that restate it agree
+
+
+@settings(deadline=None, max_examples=100)
+@given(barcode=BARCODE, function=FUNCTION, pair=st.tuples(*[SMALL_BARCODES] * 2))
+def test_subcommands_that_restate_one_answer_agree(barcode, function, pair):
+    for mode in ("--chiral", "--merge-trees", "--functions"):
+        with tempfile.TemporaryDirectory() as tmp:  # one path, named in both refusals of a missing file
+            code, out, err = _main("count", mode, barcode, tmp=tmp)
+            listed, items, why = _main("enumerate", mode, barcode, tmp=tmp)
+        assert (code, err) == (listed, why)
+        assert code == 1 or int(out) == len(json.loads(items))
+    code, tree, _ = _main("tree", function)
+    if code == 0:
+        barcode_out = _main("barcode", function)
+        assert barcode_out[0] == 0
+        assert _main("elder", tree.encode()) == barcode_out
+        code, graph, _ = _main("reconstruct", tree.encode())
+        assert code == 0 and _main("barcode", graph.encode()) == barcode_out
+    code, strata, _ = _main("strata", *pair)
+    if code == 0 and json.loads(strata)["same_stratum"]:
+        for mode in ("--chiral", "--merge-trees"):
+            counts = [_main("count", mode, b) for b in pair]
+            assert counts[0] == counts[1] and counts[0][0] == 0

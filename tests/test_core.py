@@ -176,7 +176,7 @@ SPOILS = ["none"] * 6 + [
     "bool", "nan", "inf", "-inf", "huge", "Exact", "Counted", "duplicate", "swap", "between", "drop", "append",
 ]
 LIFTS = {"Exact": Exact, "Counted": Counted}  # applied in the test, as Hypothesis cannot print an Exact
-VALID3, VALID5 = ((1, 7, 2), None, 0), ((1, 7, 2, 6, 3), None, 0)  # pad examples to the 4 rows the columns need
+VALID3, VALID5 = ((1, 7, 2), None, 0), ((1, 7, 2, 6, 3), None, 0)  # valid rows to batch a spoiled one with
 
 
 @st.composite
@@ -234,6 +234,18 @@ def _outcome(validate, rows):
 @example([VALID5] * 3 + [((1, 7, 2, 7, 1), None, 0)])  # repeats that alternate
 @example([VALID5] * 3 + [((1, 7, 6.5, 6, 3), None, 0)])  # one rise fails, every fall holds
 @example([VALID5] * 3 + [((1, 5, 6, 9, 2), None, 0)])  # one fall fails, every rise holds
+@example([((1.5, 10**400, 2.5), None, 0)])  # batches of 1 to 3 rows take the column check too
+@example([VALID3, ((1.5, 10**400, 2.5), None, 0)])
+@example([VALID3] * 2 + [((1.5, 10**400, 2.5), None, 0)])
+@example([((0, True, 0.5), None, 0)])
+@example([VALID3, ((0, True, 0.5), None, 0)])
+@example([VALID3] * 2 + [((0, True, 0.5), None, 0)])
+@example([((1, 7, 6.5, 6, 3), None, 0)])
+@example([VALID5, ((1, 7, 6.5, 6, 3), None, 0)])
+@example([VALID5] * 2 + [((1, 7, 6.5, 6, 3), None, 0)])
+@example([((1, 5, 6, 9, 2), None, 0)])
+@example([VALID5, ((1, 5, 6, 9, 2), None, 0)])
+@example([VALID5] * 2 + [((1, 5, 6, 9, 2), None, 0)])
 @example([((1,), None, 0), ((2,), None, 0)] * 2)
 def test_validate_rows_is_validate_critical_sequence_on_each_row(specs):
     rows = [row if lift is None else (*row[:i], LIFTS[lift](row[i]), *row[i + 1:]) for row, lift, i in specs]

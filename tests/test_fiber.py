@@ -118,23 +118,26 @@ def test_every_plan_realizes_its_barcode():
 
 
 @pytest.mark.parametrize(
-    "plan",
+    "plan, message, position",
     [
-        AttachmentPlan((1, 4, 1)),  # bar 4 = [4, 5) cannot carry bar 3 = [3, 6)
-        AttachmentPlan((0, 1, 1)),
-        AttachmentPlan((1, 1, 5)),
-        AttachmentPlan((1, 1)),
-        AttachmentPlan((1, 2, 3), ("L", "X", "R")),
-        AttachmentPlan((1, 2, 3), ("L", "R")),
-        AttachmentPlan((1.0, 1, 1)),
-        AttachmentPlan((True, 1, 1)),  # a bool is an int, but not a bar index
+        # bar 4 = [4, 5) cannot carry bar 3 = [3, 6)
+        (AttachmentPlan((1, 4, 1)), "parent 4 of bar 3 does not strictly contain it", 3),
+        (AttachmentPlan((0, 1, 1)), "parent 0 of bar 2 does not strictly contain it", 2),
+        (AttachmentPlan((1, 1, 5)), "parent 5 of bar 4 does not strictly contain it", 4),
+        (AttachmentPlan((1, 1)), "a plan for 4 bars needs 3 parents, got 2", None),
+        (AttachmentPlan((1, 2, 3), ("L", "X", "R")), "side of bar 3 must be 'L' or 'R', got 'X'", 3),
+        (AttachmentPlan((1, 2, 3), ("L", "R")), "got 2 sides for 3 parents", None),
+        (AttachmentPlan((1.0, 1, 1)), "parent 1.0 of bar 2 does not strictly contain it", 2),
+        # a bool is an int, but not a bar index
+        (AttachmentPlan((True, 1, 1)), "parent True of bar 2 does not strictly contain it", 2),
     ],
     ids=["parent-not-containing", "parent-0", "parent-5", "missing-bar", "unknown-side", "short-sides",
          "parent-float", "parent-bool"],
 )
-def test_materialize_rejects_a_malformed_plan(plan):
-    with pytest.raises(InvalidPlan):
+def test_materialize_rejects_a_malformed_plan(plan, message, position):
+    with pytest.raises(InvalidPlan) as err:
         materialize(NESTED, plan)
+    assert str(err.value) == message and err.value.position == position
 
 
 def test_enumerate_merge_trees_two_bars():
