@@ -23,11 +23,11 @@ from .core import (
 )
 
 
-def _json(call, *args):
+def _json(call, *args, **kwargs):
     """Make one json call. json's two limits, an int past sys.get_int_max_str_digits() (ValueError) and nesting past
     the recursion limit (RecursionError), read or written, become InvalidDocument, which keeps the class name."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except (ValueError, RecursionError) as exc:
@@ -42,7 +42,7 @@ def _load(path: str) -> object:
 
 
 def _emit(doc: object) -> None:
-    print(_json(json.dumps, doc))
+    print(_json(json.dumps, doc, default=tree_to_dict))  # json converts each tree as it reaches it
 
 
 def _print_count(n: int) -> None:
@@ -86,7 +86,7 @@ def cmd_tree(args: argparse.Namespace) -> None:
     if args.dot:
         sys.stdout.write(trees.to_dot(tree))
     else:
-        _emit(tree_to_dict(tree))
+        _emit(tree)
 
 
 def cmd_elder(args: argparse.Namespace) -> None:
@@ -107,11 +107,11 @@ def cmd_count(args: argparse.Namespace) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> None:
     barcode = barcode_from_dict(_load(args.barcode))
     if args.mode == "merge-trees":
-        out = [tree_to_dict(t) for t in fiber.enumerate_merge_trees(barcode)]
+        out = fiber.enumerate_merge_trees(barcode)
     elif args.mode == "functions":
         out = [f.values for f in fiber.enumerate_functions(barcode)]
     else:
-        out = [tree_to_dict(t) for t in fiber.enumerate_cmts(barcode)]
+        out = fiber.enumerate_cmts(barcode)
     _emit(out)
 
 
@@ -215,11 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    rank_options = parser._subparsers._group_actions[0].choices["rank"]._option_string_actions
     for i in range(len(argv) - 1, 0, -1):  # argparse takes a level starting with - (-1e3, -inf) for an option
         flag, level = argv[i - 1:i + 1]
-        # As argparse reads it, a value starting with "--" or with one of rank's short options (-h) stays an option.
-        if flag in ("--r", "--t") and level[:1] == "-" and level[:2] != "--" and level[:2] not in rank_options:
+        # As argparse reads it, a value starting with "--" or with rank's one short option, -h, stays an option.
+        if flag in ("--r", "--t") and level[:1] == "-" and level[:2] not in ("--", "-h"):
             argv[i - 1:i + 1] = [f"{flag}={level}"]
     args = parser.parse_args(argv)
     try:

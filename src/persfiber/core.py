@@ -167,7 +167,7 @@ def validate_critical_sequence(values: Sequence[Height]) -> CriticalSequence:
                 and (float not in types or all(map(math.isfinite, vals)))
                 and len(set(vals)) == n
                 and list(map(operator.lt, vals, vals[1:])) == [True, False] * (n // 2)):
-            return _wrap(vals)
+            return _wrap_all([vals])[0]
     except OverflowError:  # an int too large for a float
         pass
     return _diagnose(vals, n)
@@ -189,7 +189,7 @@ def _diagnose(vals: tuple, n: int) -> CriticalSequence:
         prev, cur = vals[i - 2], vals[i - 1]
         if not (prev < cur if i % 2 == 0 else prev > cur):
             raise NotAlternating(f"position {i} is not a local {'maximum' if i % 2 == 0 else 'minimum'}", position=i)
-    return _wrap(vals)
+    return _wrap_all([vals])[0]
 
 
 def _validate_rows(rows: list[tuple], columns: tuple[tuple, ...]) -> list[CriticalSequence]:
@@ -207,13 +207,7 @@ def _validate_rows(rows: list[tuple], columns: tuple[tuple, ...]) -> list[Critic
     return list(map(validate_critical_sequence, rows))
 
 
-# Both set the slot as the frozen dataclass's generated __init__ does, without the call, on valid tuples.
-def _wrap(vals: tuple, _new=object.__new__, _set=CriticalSequence.values.__set__) -> CriticalSequence:
-    s = _new(CriticalSequence)
-    _set(s, vals)
-    return s
-
-
+# Sets the slot as the frozen dataclass's generated __init__ does, without the call, on valid tuples.
 def _wrap_all(rows: list[tuple]) -> list[CriticalSequence]:
     out = list(map(object.__new__, repeat(CriticalSequence, len(rows))))
     any(map(CriticalSequence.values.__set__, out, rows))  # __set__ returns None, so any runs it on every pair

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from persfiber import (
     ValidationError,
+    enumerate_cmts,
+    enumerate_merge_trees,
     forget_chirality,
     merge_tree_of_sequence,
     validate_barcode,
@@ -157,6 +160,27 @@ def test_enumerate_trees_command(write, capsys):
         {"height": 7, "left": {"height": 1}, "right": {"height": 2}},
         {"height": 7, "left": {"height": 2}, "right": {"height": 1}},
     ]
+
+
+@pytest.mark.parametrize("mode, listed", [("--chiral", 384), ("--merge-trees", 24)])
+def test_enumerate_holds_one_tree_document_at_a_time(write, capsys, monkeypatch, mode, listed):
+    # json converts each tree as it reaches it: when it converts one, no earlier tree's document is still alive.
+    class Document(dict):  # a dict that a weak reference can follow
+        pass
+
+    documents, alive = [], []
+
+    def convert(tree):
+        alive.append(sum(doc() is not None for doc in documents))
+        doc = Document(tree_to_dict(tree))
+        documents.append(weakref.ref(doc))
+        return doc
+
+    monkeypatch.setattr("persfiber.cli.tree_to_dict", convert)
+    nested5 = {"bars": [{"birth": 0, "death": None}] + [{"birth": i, "death": 10 - i} for i in range(1, 5)]}
+    code, out, _ = run(capsys, ["enumerate", mode, write(nested5)])
+    assert code == 0 and len(json.loads(out)) == listed
+    assert alive == [0] * listed
 
 
 @pytest.mark.parametrize(
@@ -626,3 +650,25 @@ def test_subcommands_that_restate_one_answer_agree(barcode, function, pair):
         for mode in ("--chiral", "--merge-trees"):
             counts = [_main("count", mode, b) for b in pair]
             assert counts[0] == counts[1] and counts[0][0] == 0
+
+
+# --- what json writes: the bytes of json.dumps on the documents tree_to_dict builds
+
+
+def _written(build, doc):
+    """What the CLI must print for doc: json.dumps of build's tree documents and a newline, or nothing if refused."""
+    try:
+        return json.dumps(build(doc)) + "\n"
+    except ValidationError:
+        return ""
+
+
+@settings(deadline=None, max_examples=100)
+@given(values=ALTERNATING, barcode=_barcodes(most=6))
+def test_tree_documents_are_written_byte_for_byte_as_json_dumps_writes_them(values, barcode):
+    function = {"critical_values": values}
+    assert _main("tree", json.dumps(function).encode())[1] == _written(
+        lambda f: tree_to_dict(merge_tree_of_sequence(sequence_from_dict(f))), function)
+    for mode, enumerate_trees in (("--chiral", enumerate_cmts), ("--merge-trees", enumerate_merge_trees)):
+        assert _main("enumerate", mode, json.dumps(barcode).encode())[1] == _written(
+            lambda b: list(map(tree_to_dict, enumerate_trees(barcode_from_dict(b)))), barcode)
