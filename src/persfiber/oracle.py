@@ -1,23 +1,24 @@
 """Brute-force ground truth for the counting and enumeration machinery.
 
 all_functions and brute_fiber know nothing about attachment plans, counting
-formulas or the sublevel sweep: walking the orders of the maxima, they
-generate only the alternating arrangements of the given values, validate them
-and group them by barcode with the oracle's own Elder Rule, both column-wise
-over all the candidates of one order at once in the brute force. verify() is
-the one place the routes meet. It first applies the
-realizability rule that count and enumerate --functions share, then
-generates the candidates once, builds one barcode per group, and reports the
-formula, the plan enumeration and the brute force side by side; its
-partition check compares the size of every fiber that arises from b's
-critical values with the counting formula. Its merge-tree dedup reads the
-forms of the merge trees built from the chiral plans.
+formulas or the sublevel sweep: walking the orders of the maxima, they generate
+only the alternating arrangements of the given values, filling each pattern of
+slot bounds once per call, as the bounds found with `<` form a chain for int
+and float values, NaN included. They validate the candidates and group them by
+barcode with the oracle's own Elder Rule, both column-wise over all the
+candidates of one order at once in the brute force. verify() is the one place
+the routes meet. It first applies the realizability rule that count and
+enumerate --functions share, then generates the candidates once, builds one
+barcode per group, and reports the formula, the plan enumeration and the brute
+force side by side; its partition check compares the size of every fiber that
+arises from b's critical values with the counting formula. Its merge-tree dedup
+reads the forms of the merge trees built from the chiral plans.
 """
 from __future__ import annotations
 
 import math
-from itertools import permutations
-from operator import attrgetter, itemgetter
+from itertools import permutations, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import fiber
@@ -53,6 +54,13 @@ def _by_order(minima: Iterable[Height], maxima: Iterable[Height]) -> Iterator[tu
     of the minima below its neighbours less those already placed, so the
     choices form a mixed-radix product of only the alternating interleavings:
     (k - 1)! orders, not k!. The values are not validated here.
+
+    The fill depends only on the below sets in fill order, so each pattern
+    is filled once per call, kept as one column per slot filled, and
+    interleaved with the maxima of every order that shares it. The minima
+    below each maximum, found once with `x < y`, form a chain for int and
+    float values, as a NaN is below nothing and nothing is below a NaN: a
+    slot's below set, the minima below both neighbours, is their shorter set.
     """
     mins = tuple(sorted(minima))
     maxs = tuple(sorted(maxima))
@@ -65,16 +73,22 @@ def _by_order(minima: Iterable[Height], maxima: Iterable[Height]) -> Iterator[tu
     pool = list(mins) + list(maxs)
     if len(set(pool)) != len(pool):
         raise DuplicateValue("minima and maxima must be pairwise distinct overall")
+    under = {y: tuple([x for x in mins if x < y]) for y in maxs}  # list comprehensions, cheaper here than generators
+    fills: dict[tuple, list[tuple]] = {}  # below sets in fill order -> the placements, a column per slot filled
     for px in permutations(maxs):
         beside = list(zip((px[0],) + px, px + (px[-1],)))  # the maxima left and right of each minimum slot
         order = sorted(range(len(mins)), key=lambda j: min(beside[j]))
-        placed: list[tuple[Height, ...]] = [()]  # minima chosen so far, in `order`
-        for left, right in map(beside.__getitem__, order):
-            below = [x for x in mins if x < left and x < right]
-            placed = [p + (x,) for p in placed for x in below if x not in p]
-        # the sequence interleaves p, whose minima are listed in `order`, with px
-        at = [order.index(i // 2) if i % 2 == 0 else len(mins) + i // 2 for i in range(len(pool))]
-        yield px, list(map(itemgetter(*at), (p + px for p in placed)))
+        key = tuple([min(under[left], under[right], key=len) for left, right in map(beside.__getitem__, order)])
+        if key not in fills:
+            placed: list[tuple[Height, ...]] = [()]  # minima chosen so far, in `order`
+            for below in key:
+                placed = [p + (x,) for p in placed for x in below if x not in p]
+            fills[key] = list(zip(*placed)) or [()] * len(mins)  # no placement: empty columns, no rows
+        columns = [None] * len(pool)  # the sequence's: the fill's columns, listed in `order`, interleaved with px
+        columns[1::2] = map(repeat, px)
+        for j, column in zip(order, fills[key]):
+            columns[2 * j] = column
+        yield px, list(zip(*columns))
 
 
 def all_functions(minima: Iterable[Height], maxima: Iterable[Height]) -> list[CriticalSequence]:

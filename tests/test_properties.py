@@ -3,6 +3,7 @@ import math
 from dataclasses import field, make_dataclass
 from enum import IntEnum
 from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +57,17 @@ from persfiber.fiber import (
     enumerate_merge_trees,
     materialize,
 )
-from persfiber.oracle import _births, _by_order, _fibers, all_functions, brute_fiber, verify
+from persfiber.oracle import (
+    MAX_MINIMA,
+    CardinalityMismatch,
+    ScaleCapExceeded,
+    _births,
+    _by_order,
+    _fibers,
+    all_functions,
+    brute_fiber,
+    verify,
+)
 
 heights = st.one_of(st.integers(-30, 30), st.floats(-30, 30, allow_nan=False))
 
@@ -441,14 +452,14 @@ def _reference_all_functions(minima, maxima):
 
 
 @st.composite
-def critical_values(draw):
-    """k = 2..5 minima and k - 1 maxima, ints and floats mixed, pairwise distinct.
+def critical_values(draw, most=5):
+    """k = 2..most minima and k - 1 maxima, ints and floats mixed, pairwise distinct.
 
     Half the draws put the k lowest values at the minima, so every
     interleaving alternates; the other half split the values at random, which
     often leaves no alternating arrangement at all.
     """
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(2, most))
     values = draw(st.lists(heights, min_size=2 * k - 1, max_size=2 * k - 1, unique=True))
     if draw(st.booleans()):
         values.sort()
@@ -501,10 +512,58 @@ def test_fibers_refuse_and_accept_as_all_functions_does(split):
     assert _generated(_grouped, split) == _generated(all_functions, split)
 
 
-@pytest.mark.parametrize("split", [([0.0, -0.0], [3]), ([-0.0, 1], [0.0]), ([2, 1], [2.0]), ([2.0, 1, 2], [5, 6])])
+EQUAL_VALUES_OF_TWO_TYPES = [([0.0, -0.0], [3]), ([-0.0, 1], [0.0]), ([2, 1], [2.0]), ([2.0, 1, 2], [5, 6])]
+
+
+@pytest.mark.parametrize("split", EQUAL_VALUES_OF_TWO_TYPES)
 def test_all_functions_refuses_equal_values_of_two_types(split):
     # The reference has no up-front check and may find nothing instead, so the refusal itself is pinned.
     assert _generated(all_functions, split) == (DuplicateValue, "minima and maxima must be pairwise distinct overall")
+
+
+def _reference_by_order(minima, maxima):
+    """The fill of the minimum slots from scratch for every order of the maxima, which _by_order's one fill per
+    pattern of below sets replaced, kept as the reference."""
+    mins = tuple(sorted(minima))
+    maxs = tuple(sorted(maxima))
+    if len(mins) != len(maxs) + 1 or len(mins) < 2:
+        raise CardinalityMismatch(
+            f"need one more minimum than maxima and at least 2 minima, got {len(mins)} and {len(maxs)}"
+        )
+    if len(mins) > MAX_MINIMA:
+        raise ScaleCapExceeded(f"brute force is capped at {MAX_MINIMA} minima, got {len(mins)}")
+    pool = list(mins) + list(maxs)
+    if len(set(pool)) != len(pool):
+        raise DuplicateValue("minima and maxima must be pairwise distinct overall")
+    for px in permutations(maxs):
+        beside = list(zip((px[0],) + px, px + (px[-1],)))
+        order = sorted(range(len(mins)), key=lambda j: min(beside[j]))
+        placed = [()]
+        for left, right in map(beside.__getitem__, order):
+            below = [x for x in mins if x < left and x < right]
+            placed = [p + (x,) for p in placed for x in below if x not in p]
+        at = [order.index(i // 2) if i % 2 == 0 else len(mins) + i // 2 for i in range(len(pool))]
+        yield px, list(map(itemgetter(*at), (p + px for p in placed)))
+
+
+def _orders(generate, split):
+    """Each order generate(*split) yields as the ids of its px and of its rows' values, or the class and message of
+    its refusal: both place the very objects they were given."""
+    try:
+        return [[tuple(map(id, row)) for row in (px, *rows)] for px, rows in generate(*split)]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(critical_values(most=6))
+def test_by_order_matches_the_fill_of_every_order(split):
+    assert _orders(_by_order, split) == _orders(_reference_by_order, split)
+
+
+@pytest.mark.parametrize("split", NAN_AND_INF_SPLITS + EQUAL_VALUES_OF_TWO_TYPES)
+def test_by_order_matches_the_fill_of_every_order_on_values_hypothesis_does_not_draw(split):
+    assert _orders(_by_order, split) == _orders(_reference_by_order, split)
 
 
 @settings(deadline=None)
